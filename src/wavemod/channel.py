@@ -1,9 +1,12 @@
 """AWGN and static multipath channels with perfect-CSI equalization.
 
 All randomness is drawn from explicitly seeded generators, so identical
-(spec, seed) pairs give bit-identical outputs.  Parallel Monte-Carlo
-callers should derive per-trial seeds as seed sequences [master, trial]
-to stay schedule independent.
+(spec, seed) pairs give bit-identical outputs.  apply_multipath, awgn and
+equalize take one frame (n,) or a block of frames (..., n) and act on each
+row alone;
+Monte-Carlo callers give each row its own seed sequence [master, ...,
+trial] (see :class:`AwgnSpec`), so no output depends on how trials are
+grouped into blocks.
 """
 
 from __future__ import annotations
@@ -44,6 +47,16 @@ class AwgnSpec:
       counts useful body samples only (oversampling / bits_per_symbol for
       the multicarrier chains), so the cyclic-prefix overhead does not
       shift the SNR axis.
+
+    Both measure the signal power of each frame (row) on its own.
+
+    seed is an int or a 1-D integer sequence (a seed sequence such as
+    [master, trial]); one generator then draws the noise of the whole
+    frame or block, real parts first.  For a block of B frames, seed may
+    instead be a 2-D (B, k) integer array-like: row b draws its noise from
+    its own generator seeded seed[b], exactly as awgn on that frame alone
+    with seed=seed[b].  A 2-D array is never a valid seed sequence, so the
+    two forms cannot be confused.
     """
 
     snr_db: float
@@ -59,28 +72,51 @@ class AwgnSpec:
         if self.samples_per_bit <= 0:
             raise ConfigError("samples_per_bit must be positive")
 
-    def noise_variance(self, mean_power: float) -> float:
+    def noise_variance(self, mean_power):
+        """Noise variance per sample for a measured mean power (float, or
+        an array with one power per frame)."""
         if math.isinf(self.snr_db):
-            return 0.0
+            return 0.0 * mean_power
         ratio = 10.0 ** (self.snr_db / 10.0)
         if self.reference == EB_PER_BIT:
             return mean_power * self.samples_per_bit / ratio
         return mean_power / ratio
 
 
+def _draw_noise(seed, shape) -> np.ndarray:
+    """Unit-variance-per-rail complex Gaussian draws; see AwgnSpec.seed."""
+    seeds = np.asarray(seed)
+    if seeds.ndim < 2:
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if seeds.shape[:-1] != shape[:-1]:
+        raise LengthMismatch(
+            f"per-row seeds {seeds.shape} do not match frame rows {shape[:-1]}"
+        )
+    n = shape[-1]
+    rows = []
+    for row_seed in seeds.reshape(-1, seeds.shape[-1]):
+        rng = np.random.default_rng(row_seed)
+        rows.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return np.reshape(rows, shape)
+
+
 def awgn(frame: BasebandFrame, spec: AwgnSpec) -> BasebandFrame:
-    """Add circularly symmetric complex Gaussian noise, seeded."""
+    """Add circularly symmetric complex Gaussian noise, seeded.
+
+    The noise variance of each frame (row) follows that row's own mean
+    power; see :class:`AwgnSpec` for the per-row seed form.
+    """
     samples = np.asarray(frame.samples, dtype=complex)
     if samples.size == 0:
         raise EmptyFrame("cannot add noise to an empty frame")
-    variance = spec.noise_variance(float(np.mean(np.abs(samples) ** 2)))
-    if variance == 0.0:
+    variance = spec.noise_variance(np.mean(np.abs(samples) ** 2, axis=-1))
+    if not np.any(variance):
         return BasebandFrame(samples.copy(), frame.sample_rate, frame.meta)
-    rng = np.random.default_rng(spec.seed)
     scale = np.sqrt(variance / 2.0)
-    noise = scale * (rng.standard_normal(samples.size)
-                     + 1j * rng.standard_normal(samples.size))
-    return BasebandFrame(samples + noise, frame.sample_rate, frame.meta)
+    noise = _draw_noise(spec.seed, samples.shape)
+    return BasebandFrame(samples + scale[..., None] * noise, frame.sample_rate,
+                         frame.meta)
 
 
 @dataclass
@@ -151,15 +187,19 @@ class MultipathSpec:
 
 
 def apply_multipath(frame: BasebandFrame, spec: MultipathSpec) -> BasebandFrame:
-    """Linear convolution with the sparse tap set; output grows by max delay."""
-    x = np.asarray(frame.samples, dtype=complex)
-    if spec.max_delay >= len(x):
+    """Linear convolution with the sparse tap set; output grows by max delay.
+
+    A block (..., n) convolves every row with the same taps.
+    """
+    x = np.atleast_1d(np.asarray(frame.samples, dtype=complex))
+    n = x.shape[-1]
+    if spec.max_delay >= n:
         raise DelayExceedsFrame(
-            f"max delay {spec.max_delay} >= frame length {len(x)}"
+            f"max delay {spec.max_delay} >= frame length {n}"
         )
-    out = np.zeros(len(x) + spec.max_delay, dtype=complex)
+    out = np.zeros(x.shape[:-1] + (n + spec.max_delay,), dtype=complex)
     for delay, gain in zip(spec.tap_delays, spec.tap_gains):
-        out[delay:delay + len(x)] += gain * x
+        out[..., delay:delay + n] += gain * x
     return BasebandFrame(out, frame.sample_rate, frame.meta)
 
 
@@ -175,14 +215,16 @@ def equalize(frame: BasebandFrame, channel: MultipathSpec, cfg: OfdmConfig,
     Wavelet-packet chain: the whole frame is deconvolved in the frequency
     domain with an eps**2 Tikhonov floor (the chain has no prefix), then
     demodulated normally.
+
+    A block of frames (..., length) gives a block of symbol rows.
     """
-    samples = np.asarray(frame.samples, dtype=complex)
+    samples = np.atleast_1d(np.asarray(frame.samples, dtype=complex))
     if cfg.transform == FOURIER:
         m = cfg.body_length
         start = cfg.cp_length
-        if len(samples) < start + m:
+        if samples.shape[-1] < start + m:
             raise LengthMismatch("frame shorter than cyclic prefix plus body")
-        body = samples[start:start + m]
+        body = samples[..., start:start + m]
         response = np.fft.fft(channel.impulse_response(), n=m)
         n = cfg.n_subcarriers
         if cfg.tx_rolloff is not None:
@@ -196,18 +238,14 @@ def equalize(frame: BasebandFrame, channel: MultipathSpec, cfg: OfdmConfig,
                 "channel response below eps on an occupied subcarrier"
             )
         spectrum = np.fft.fft(body, norm="ortho")
-        spectrum[occupied] /= response[occupied]
-        if cfg.tx_rolloff is not None:
-            vec = (spectrum * weights).reshape(cfg.oversampling, n).sum(axis=0)
-        else:
-            vec = np.concatenate([spectrum[: n // 2], spectrum[m - n // 2:]])
-        return _unprecode(vec, cfg)
+        spectrum[..., occupied] /= response[occupied]
+        return _unprecode(modem._fourier_bins(spectrum, cfg), cfg)
     # wavelet-packet: regularized full-frame deconvolution
-    length = len(samples)
+    length = samples.shape[-1]
     response = np.fft.fft(channel.impulse_response(), n=length)
     spectrum = np.fft.fft(samples)
     deconv = spectrum * np.conj(response) / (np.abs(response) ** 2 + eps**2)
-    body = np.fft.ifft(deconv)[:cfg.body_length]
+    body = np.fft.ifft(deconv)[..., :cfg.body_length]
     return ofdm_demodulate(
         BasebandFrame(body, frame.sample_rate, cfg), cfg
     )

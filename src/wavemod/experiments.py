@@ -10,17 +10,18 @@ Five studies are available:
                    orthonormalized Gaussian, with truncated-SRRC references
 
 Every Monte-Carlo trial draws its randomness from a generator seeded with
-[master_seed, ...indices], so partial results computed by any number of
-workers merge to the same table as a serial run.  WAVEMOD_THREADS caps the
-worker count (default 1).
+[master_seed, ...indices].  papr-ccdf and ber-fading push blocks of trials
+through the chain functions, which act on the last axis of (..., n)
+arrays; the block size follows from the frame length (see
+metrics.trial_blocks), and per-trial seeding keeps every CSV byte
+independent of it.  evm-sweep runs frame by frame: its round-off-level EVM
+column would change in the last digits under the batched db10 transform.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,30 +39,11 @@ from .errors import ConfigError
 SYSTEM_ORDER = ("wpm", "ofdm", "sc_wpm", "sc_ofdm")
 
 
-def n_workers() -> int:
-    raw = os.environ.get("WAVEMOD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"WAVEMOD_THREADS must be an integer, got {raw!r}") from None
-
-
-def _chunks(n_items: int, n_parts: int):
-    n_parts = min(n_parts, n_items) or 1
-    bounds = np.linspace(0, n_items, n_parts + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _run_chunked(worker, n_trials: int):
-    """Run worker(first, count) over trial chunks; returns list of results
-    in chunk order (scheduling cannot change the merged output)."""
-    workers = n_workers()
-    parts = _chunks(n_trials, workers * 4)
-    if workers == 1 or len(parts) == 1:
-        return [worker(a, b - a) for a, b in parts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, a, b - a) for a, b in parts]
-        return [f.result() for f in futures]
+def _trial_count(cfg: ExperimentConfig, default: int) -> int:
+    """The configured trial count, or the study's default when it is 0."""
+    if cfg.n_trials < 0:
+        raise ConfigError(f"trials must be >= 0 (0 = default), got {cfg.n_trials}")
+    return cfg.n_trials or default
 
 
 def _wavelet(name: str):
@@ -125,19 +107,13 @@ def run_papr_ccdf_compare(cfg: ExperimentConfig) -> ResultTable:
     """CCDF of per-symbol PAPR for the four compared systems."""
     spec = modem.constellation(cfg.modem_constellation)
     thresholds = np.asarray(parse_float_list(cfg.papr_thresholds_db))
-    n_trials = cfg.n_trials if cfg.n_trials > 0 else 10_000
+    n_trials = _trial_count(cfg, 10_000)
     systems = system_configs(cfg)
-    curves = {}
-    for index, name in enumerate(SYSTEM_ORDER):
-        chain = systems[name]
-
-        def worker(first, count, chain=chain, index=index):
-            return metrics.papr_ccdf(
-                chain, spec, count, thresholds, seed=cfg.seed * 8 + index,
-                first_trial=first,
-            )
-
-        curves[name] = metrics.merge_ccdf(_run_chunked(worker, n_trials))
+    curves = {
+        name: metrics.papr_ccdf(systems[name], spec, n_trials, thresholds,
+                                seed=cfg.seed * 8 + index)
+        for index, name in enumerate(SYSTEM_ORDER)
+    }
     table = ResultTable(
         columns=["threshold_db"] + [f"ccdf_{name}" for name in SYSTEM_ORDER],
         provenance=provenance_for(cfg, "papr-ccdf"),
@@ -174,7 +150,7 @@ def run_evm_bandwidth_sweep(cfg: ExperimentConfig) -> ResultTable:
     cutoffs = parse_float_list(cfg.evm_cutoffs)
     if any(c <= 0.0 or c > 1.0 for c in cutoffs):
         raise ConfigError("cutoffs must lie in (0, 1]")
-    n_frames = cfg.n_trials if cfg.n_trials > 0 else 100
+    n_frames = _trial_count(cfg, 100)
     n = cfg.modem_n_subcarriers
     levels = int(round(math.log2(n)))
     ft = modem.OfdmConfig(
@@ -185,24 +161,20 @@ def run_evm_bandwidth_sweep(cfg: ExperimentConfig) -> ResultTable:
         oversampling=cfg.evm_oversampling, wpm_interp=modem.INTERP_FFT,
     )
 
-    def worker(first, count):
-        acc = np.zeros((len(cutoffs), 2))
-        for trial in range(first, first + count):
-            rng = np.random.default_rng([cfg.seed, trial])
-            bits = rng.integers(0, 2, n * spec.bits_per_symbol)
-            symbols = modem.map_bits(bits, spec)
-            for column, chain in enumerate((ft, wt)):
-                frame = modem.ofdm_modulate(symbols, chain)
-                for i, cutoff in enumerate(cutoffs):
-                    filtered = _brickwall(frame.samples, cutoff)
-                    estimate = modem.ofdm_demodulate(
-                        modem.BasebandFrame(filtered, frame.sample_rate, chain),
-                        chain,
-                    )
-                    acc[i, column] += metrics.evm(estimate, symbols)
-        return acc
-
-    total = sum(_run_chunked(worker, n_frames))
+    total = np.zeros((len(cutoffs), 2))
+    for trial in range(n_frames):
+        rng = np.random.default_rng([cfg.seed, trial])
+        bits = rng.integers(0, 2, n * spec.bits_per_symbol)
+        symbols = modem.map_bits(bits, spec)
+        for column, chain in enumerate((ft, wt)):
+            frame = modem.ofdm_modulate(symbols, chain)
+            for i, cutoff in enumerate(cutoffs):
+                filtered = _brickwall(frame.samples, cutoff)
+                estimate = modem.ofdm_demodulate(
+                    modem.BasebandFrame(filtered, frame.sample_rate, chain),
+                    chain,
+                )
+                total[i, column] += metrics.evm(estimate, symbols)
     table = ResultTable(
         columns=["cutoff", "evm_ft", "evm_wt"],
         provenance=provenance_for(cfg, "evm-sweep"),
@@ -227,7 +199,7 @@ def run_ber_fading(cfg: ExperimentConfig) -> ResultTable:
     """
     spec = modem.constellation(cfg.modem_constellation)
     ebn0_grid = parse_float_list(cfg.ber_ebn0_db)
-    n_frames = cfg.n_trials if cfg.n_trials > 0 else 50
+    n_frames = _trial_count(cfg, 50)
     systems = system_configs(cfg)
     # BER runs want every block unitary so the Eb/N0 axis means the same
     # thing for all four systems; the FIR interpolator's plain decimation
@@ -244,33 +216,27 @@ def run_ber_fading(cfg: ExperimentConfig) -> ResultTable:
     for s_index, name in enumerate(SYSTEM_ORDER):
         chain = systems[name]
         for e_index, ebn0 in enumerate(ebn0_grid):
-
-            def worker(first, count, chain=chain, s_index=s_index,
-                       e_index=e_index, ebn0=ebn0):
-                errors = 0
-                for trial in range(first, first + count):
-                    rng = np.random.default_rng(
-                        [cfg.seed, s_index, e_index, trial]
-                    )
-                    bits = rng.integers(0, 2, bits_per_frame)
-                    frame = modem.ofdm_modulate(modem.map_bits(bits, spec), chain)
-                    faded = channelmod.apply_multipath(frame, profile)
-                    noisy = channelmod.awgn(
-                        faded,
-                        channelmod.AwgnSpec(
-                            snr_db=ebn0,
-                            seed=[cfg.seed, s_index, e_index, trial, 1],
-                            reference=channelmod.EB_PER_BIT,
-                            samples_per_bit=samples_per_bit,
-                        ),
-                    )
-                    estimate = channelmod.equalize(noisy, profile, chain)
-                    errors += int(
-                        np.sum(modem.demap_symbols(estimate, spec) != bits)
-                    )
-                return errors
-
-            errors = sum(_run_chunked(worker, n_frames))
+            errors = 0
+            for trials in metrics.trial_blocks(0, n_frames, chain.frame_length):
+                bits = np.stack([
+                    np.random.default_rng([cfg.seed, s_index, e_index, trial])
+                    .integers(0, 2, bits_per_frame)
+                    for trial in trials
+                ])
+                frame = modem.ofdm_modulate(modem.map_bits(bits, spec), chain)
+                faded = channelmod.apply_multipath(frame, profile)
+                noisy = channelmod.awgn(
+                    faded,
+                    channelmod.AwgnSpec(
+                        snr_db=ebn0,
+                        seed=[[cfg.seed, s_index, e_index, trial, 1]
+                              for trial in trials],
+                        reference=channelmod.EB_PER_BIT,
+                        samples_per_bit=samples_per_bit,
+                    ),
+                )
+                estimate = channelmod.equalize(noisy, profile, chain)
+                errors += int(np.sum(modem.demap_symbols(estimate, spec) != bits))
             results[(name, e_index)] = errors
 
     table_columns = ["ebn0_db"]

@@ -145,9 +145,8 @@ _FFT_WORK_THRESHOLD = 1 << 18
 
 
 def _pad_taps(taps: np.ndarray, n: int) -> np.ndarray:
-    padded = np.zeros(n)
-    padded[: len(taps)] = taps
-    return padded
+    # taps beyond the period wrap around, as in the gather path's index table
+    return np.bincount(np.arange(len(taps)) % n, weights=taps, minlength=n)
 
 
 def analysis_step(x, pair: WaveletFilterPair):

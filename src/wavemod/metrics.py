@@ -28,12 +28,16 @@ from .errors import (
 from .modem import BasebandFrame, ConstellationSpec, OfdmConfig, map_bits, ofdm_modulate
 
 
-def papr_db(frame: BasebandFrame) -> float:
-    """Peak-to-average power ratio of the frame, in dB."""
+def papr_db(frame: BasebandFrame):
+    """Peak-to-average power ratio of the frame, in dB.
+
+    A float for one frame; for a block (..., n) an array of one PAPR per row.
+    """
     power = np.abs(np.asarray(frame.samples)) ** 2
-    if power.size == 0 or not np.any(power > 0):
+    if power.size == 0 or not np.all(np.any(power > 0, axis=-1)):
         raise ZeroEnergy("PAPR undefined for an empty or silent frame")
-    return float(10.0 * np.log10(np.max(power) / np.mean(power)))
+    ratio = 10.0 * np.log10(np.max(power, axis=-1) / np.mean(power, axis=-1))
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 @dataclass
@@ -95,25 +99,40 @@ def merge_ccdf(curves) -> CcdfCurve:
     return CcdfCurve(base, counts / total, total, exceed_counts=counts)
 
 
+# Monte-Carlo loops push blocks of trials through the chains; a block holds
+# about this many bytes of complex samples (8 frames of 2048 samples).
+# Per-trial seeding makes every output byte independent of the block size.
+_BLOCK_BYTES = 1 << 18
+
+
+def trial_blocks(first: int, count: int, frame_length: int):
+    """Consecutive trial ranges covering [first, first + count), each small
+    enough that its frames of frame_length complex samples fit the block
+    budget (at least one trial per block)."""
+    size = max(1, _BLOCK_BYTES // (16 * frame_length))
+    stop = first + count
+    return [range(start, min(start + size, stop))
+            for start in range(first, stop, size)]
+
+
 def papr_ccdf(cfg: OfdmConfig, spec: ConstellationSpec, n_symbols: int,
               thresholds_db, seed: int, first_trial: int = 0) -> CcdfCurve:
     """CCDF of per-symbol PAPR over seeded random payloads.
 
     Trial k draws its bits from a generator seeded [seed, k], so partial
     runs over disjoint trial ranges merge (see :func:`merge_ccdf`) to the
-    same curve regardless of scheduling.
+    same curve regardless of scheduling or block size.
     """
     if n_symbols < 1:
         raise ConfigError("need at least one symbol")
     thresholds_db = np.asarray(thresholds_db, dtype=float)
     counts = np.zeros(len(thresholds_db), dtype=np.int64)
     n_bits = cfg.n_subcarriers * spec.bits_per_symbol
-    for trial in range(first_trial, first_trial + n_symbols):
-        rng = np.random.default_rng([seed, trial])
-        bits = rng.integers(0, 2, n_bits)
-        frame = ofdm_modulate(map_bits(bits, spec), cfg)
-        value = papr_db(frame)
-        counts += value > thresholds_db
+    for trials in trial_blocks(first_trial, n_symbols, cfg.frame_length):
+        bits = np.stack([np.random.default_rng([seed, trial]).integers(0, 2, n_bits)
+                         for trial in trials])
+        values = papr_db(ofdm_modulate(map_bits(bits, spec), cfg))
+        counts += np.sum(values[:, None] > thresholds_db, axis=0)
     return CcdfCurve(thresholds_db, counts / n_symbols, n_symbols,
                      exceed_counts=counts)
 

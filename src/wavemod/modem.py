@@ -71,10 +71,6 @@ class ConstellationSpec:
     bits_per_symbol: int
     alphabet: np.ndarray = field(repr=False)
 
-    @property
-    def gray(self) -> bool:
-        return True
-
 
 def _build_constellations():
     # BPSK: bit 0 -> +1, bit 1 -> -1
@@ -111,28 +107,34 @@ def constellation(kind: str) -> ConstellationSpec:
 
 
 def map_bits(bits, spec: ConstellationSpec) -> np.ndarray:
-    """Map a 0/1 array to unit-average-energy Gray constellation symbols."""
-    bits = np.asarray(bits).astype(np.int64)
-    if bits.size % spec.bits_per_symbol != 0:
-        raise BitCountMismatch(
-            f"{bits.size} bits not divisible by {spec.bits_per_symbol}"
-        )
-    words = bits.reshape(-1, spec.bits_per_symbol)
-    index = np.zeros(len(words), dtype=np.int64)
-    for b in range(spec.bits_per_symbol):
-        index = (index << 1) | words[:, b]
+    """Map a 0/1 array to unit-average-energy Gray constellation symbols.
+
+    Maps the last axis: (..., n_bits) bits give (..., n_bits / k) symbols.
+    """
+    bits = np.atleast_1d(np.asarray(bits)).astype(np.int64)
+    k = spec.bits_per_symbol
+    if bits.shape[-1] % k != 0:
+        raise BitCountMismatch(f"{bits.shape[-1]} bits not divisible by {k}")
+    words = bits.reshape(bits.shape[:-1] + (-1, k))
+    index = np.zeros(words.shape[:-1], dtype=np.int64)
+    for b in range(k):
+        index = (index << 1) | words[..., b]
     return spec.alphabet[index]
 
 
 def demap_symbols(symbols, spec: ConstellationSpec) -> np.ndarray:
-    """Hard-decision minimum-distance demapping back to bits."""
-    symbols = np.asarray(symbols, dtype=complex)
-    dist = np.abs(symbols[:, None] - spec.alphabet[None, :])
-    index = np.argmin(dist, axis=1)
-    bits = np.empty((len(symbols), spec.bits_per_symbol), dtype=np.int64)
-    for b in range(spec.bits_per_symbol):
-        bits[:, b] = (index >> (spec.bits_per_symbol - 1 - b)) & 1
-    return bits.reshape(-1)
+    """Hard-decision minimum-distance demapping back to bits.
+
+    Demaps the last axis: (..., n) symbols give (..., n * k) bits.
+    """
+    symbols = np.atleast_1d(np.asarray(symbols, dtype=complex))
+    dist = np.abs(symbols[..., None] - spec.alphabet)
+    index = np.argmin(dist, axis=-1)
+    k = spec.bits_per_symbol
+    bits = np.empty(index.shape + (k,), dtype=np.int64)
+    for b in range(k):
+        bits[..., b] = (index >> (k - 1 - b)) & 1
+    return bits.reshape(symbols.shape[:-1] + (-1,))
 
 
 # --- transmitter configuration --------------------------------------------------
@@ -233,7 +235,11 @@ class OfdmConfig:
 
 @dataclass
 class BasebandFrame:
-    """Complex baseband samples with their rate and originating config."""
+    """Complex baseband samples with their rate and originating config.
+
+    samples is (n,) for one frame or (..., n) for a block of frames of
+    equal length; every chain function acts on the last axis.
+    """
 
     samples: np.ndarray
     sample_rate: float
@@ -247,24 +253,35 @@ class BasebandFrame:
 
 # --- oversampling helpers -------------------------------------------------------
 
+def _spectral_place(spec: np.ndarray, m: int) -> np.ndarray:
+    """(..., n) DFT bins -> (..., m) grid: the n // 2 lowest positive and
+    negative frequencies keep their places, the bins between are zero."""
+    n = spec.shape[-1]
+    grid = np.zeros(spec.shape[:-1] + (m,), dtype=complex)
+    grid[..., : n // 2] = spec[..., : n // 2]
+    grid[..., m - n // 2:] = spec[..., n // 2:]
+    return grid
+
+
+def _spectral_select(spec: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`_spectral_place`: the n bins of a (..., m) grid."""
+    m = spec.shape[-1]
+    return np.concatenate([spec[..., : n // 2], spec[..., m - n // 2:]], axis=-1)
+
+
 def _spectral_zero_pad(x: np.ndarray, os: int) -> np.ndarray:
     """Unitary oversampling: zero padding in the frequency domain."""
     if os == 1:
         return x.copy()
-    n = len(x)
     spec = np.fft.fft(x, norm="ortho")
-    padded = np.zeros(n * os, dtype=complex)
-    padded[: n // 2] = spec[: n // 2]
-    padded[n * os - n // 2:] = spec[n // 2:]
-    return np.fft.ifft(padded, norm="ortho")
+    return np.fft.ifft(_spectral_place(spec, x.shape[-1] * os), norm="ortho")
 
 
 def _spectral_decimate(y: np.ndarray, os: int, n: int) -> np.ndarray:
     if os == 1:
         return y.copy()
     spec = np.fft.fft(y, norm="ortho")
-    kept = np.concatenate([spec[: n // 2], spec[n * os - n // 2:]])
-    return np.fft.ifft(kept, norm="ortho")
+    return np.fft.ifft(_spectral_select(spec, n), norm="ortho")
 
 
 def interpolation_filter(os: int, half_width: int = 32) -> np.ndarray:
@@ -280,36 +297,39 @@ def interpolation_filter(os: int, half_width: int = 32) -> np.ndarray:
     return np.sinc((k - center) / os) * window
 
 
+def _rescale(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Scale each row of y to the l2 norm of the same row of x (silent rows
+    of y stay).  Every block size uses the same row-wise norm: the 1-D
+    np.linalg.norm call sums in another order than axis=-1."""
+    target = np.linalg.norm(x, axis=-1)
+    norm_y = np.linalg.norm(y, axis=-1)
+    silent = norm_y == 0.0
+    gain = target / np.where(silent, 1.0, norm_y)
+    return np.where(silent[..., None], y, y * gain[..., None])
+
+
 def _fir_interpolate(x: np.ndarray, os: int) -> np.ndarray:
     """Polyphase interpolation, circular, rescaled to preserve energy."""
     if os == 1:
         return x.copy()
-    n = len(x)
+    n = x.shape[-1]
     taps = interpolation_filter(os)
     center = (len(taps) - 1) // 2
     m = n * os
-    up = np.zeros(m, dtype=complex)
-    up[::os] = x
+    up = np.zeros(x.shape[:-1] + (m,), dtype=complex)
+    up[..., ::os] = x
     kernel = np.zeros(m, dtype=complex)
     idx = (np.arange(len(taps)) - center) % m
     np.add.at(kernel, idx, taps)
     y = np.fft.ifft(np.fft.fft(up) * np.fft.fft(kernel))
-    norm_x = np.linalg.norm(x)
-    norm_y = np.linalg.norm(y)
-    if norm_y == 0.0:
-        return y
-    return y * (norm_x / norm_y)
+    return _rescale(y, x)
 
 
 def _fir_decimate(y: np.ndarray, os: int) -> np.ndarray:
     """Inverse of :func:`_fir_interpolate` (exact in the noiseless case)."""
     if os == 1:
         return y.copy()
-    z = y[::os]
-    norm_z = np.linalg.norm(z)
-    if norm_z == 0.0:
-        return z
-    return z * (np.linalg.norm(y) / norm_z)
+    return _rescale(y[..., ::os], y)
 
 
 # --- multicarrier chains ---------------------------------------------------------
@@ -369,7 +389,7 @@ def _unprecode(vec: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
 
 
 def _synthesize_body(vec: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
-    """Precoded symbol vector -> oversampled body (no CP)."""
+    """Precoded symbol vector(s) (..., n) -> oversampled body (no CP)."""
     n, os = cfg.n_subcarriers, cfg.oversampling
     if cfg.transform == FOURIER:
         m = n * os
@@ -377,26 +397,30 @@ def _synthesize_body(vec: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
             weights = rrc_bin_weights(n, m, cfg.tx_rolloff)
             tiled = np.tile(vec, os)
             return np.fft.ifft(tiled * weights, norm="ortho")
-        padded = np.zeros(m, dtype=complex)
-        padded[: n // 2] = vec[: n // 2]
-        padded[m - n // 2:] = vec[n // 2:]
-        return np.fft.ifft(padded, norm="ortho")
+        return np.fft.ifft(_spectral_place(vec, m), norm="ortho")
     chips = iwpt(SubbandSet.from_flat(vec, WPT_FULL, cfg.levels), cfg.pair)
     if cfg.wpm_interp == INTERP_FFT:
         return _spectral_zero_pad(chips, os)
     return _fir_interpolate(chips, os)
 
 
+def _fourier_bins(spec: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+    """Body spectrum (..., m) -> the n subcarrier values of a Fourier chain:
+    the occupied bins, or under roll-off shaping the conjugate-weighted fold
+    of every alias class."""
+    n = cfg.n_subcarriers
+    if cfg.tx_rolloff is not None:
+        weights = rrc_bin_weights(n, cfg.body_length, cfg.tx_rolloff)
+        folded = (spec * weights).reshape(spec.shape[:-1] + (cfg.oversampling, n))
+        return folded.sum(axis=-2)
+    return _spectral_select(spec, n)
+
+
 def _analyze_body(body: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
-    """Oversampled body -> precoded symbol vector."""
+    """Oversampled body (..., m) -> precoded symbol vector(s)."""
     n, os = cfg.n_subcarriers, cfg.oversampling
     if cfg.transform == FOURIER:
-        spec = np.fft.fft(body, norm="ortho")
-        if cfg.tx_rolloff is not None:
-            weights = rrc_bin_weights(n, n * os, cfg.tx_rolloff)
-            folded = (spec * weights).reshape(os, n)
-            return folded.sum(axis=0)
-        return np.concatenate([spec[: n // 2], spec[n * os - n // 2:]])
+        return _fourier_bins(np.fft.fft(body, norm="ortho"), cfg)
     if cfg.wpm_interp == INTERP_FFT:
         chips = _spectral_decimate(body, os, n)
     else:
@@ -407,29 +431,34 @@ def _analyze_body(body: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
 def ofdm_modulate(symbols, cfg: OfdmConfig) -> BasebandFrame:
     """One multicarrier symbol: precode, inverse transform, oversample, CP.
 
+    symbols is (n_subcarriers,) for one frame or (..., n_subcarriers) for a
+    block of frames; each row gives the same samples as it would alone.
     The cyclic prefix (Fourier chain only) is a copy of the frame tail, so
     the CP-stripped body carries exactly the input symbol energy.
     """
     symbols = np.asarray(symbols, dtype=complex)
-    if len(symbols) != cfg.n_subcarriers:
+    count = symbols.shape[-1] if symbols.ndim else 1
+    if symbols.ndim == 0 or count != cfg.n_subcarriers:
         raise LengthMismatch(
-            f"expected {cfg.n_subcarriers} symbols, got {len(symbols)}"
+            f"expected {cfg.n_subcarriers} symbols, got {count}"
         )
     body = _synthesize_body(_precode(symbols, cfg), cfg)
     cp = cfg.cp_length
-    samples = np.concatenate([body[-cp:], body]) if cp else body
+    samples = np.concatenate([body[..., -cp:], body], axis=-1) if cp else body
     return BasebandFrame(samples=samples, sample_rate=float(cfg.body_length),
                          meta=cfg)
 
 
 def ofdm_demodulate(frame: BasebandFrame, cfg: OfdmConfig) -> np.ndarray:
-    """Exact inverse of :func:`ofdm_modulate` in the absence of a channel."""
+    """Exact inverse of :func:`ofdm_modulate` in the absence of a channel
+    (a block of frames gives a block of symbol rows)."""
     samples = np.asarray(frame.samples, dtype=complex)
-    if len(samples) < cfg.frame_length:
+    if samples.ndim == 0 or samples.shape[-1] < cfg.frame_length:
         raise LengthMismatch(
-            f"frame has {len(samples)} samples, config needs {cfg.frame_length}"
+            f"frame has {samples.shape[-1] if samples.ndim else 1} samples, "
+            f"config needs {cfg.frame_length}"
         )
-    body = samples[cfg.cp_length:cfg.cp_length + cfg.body_length]
+    body = samples[..., cfg.cp_length:cfg.cp_length + cfg.body_length]
     return _unprecode(_analyze_body(body, cfg), cfg)
 
 

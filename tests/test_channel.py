@@ -1,14 +1,15 @@
 """AWGN statistics, multipath convolution and zero-forcing equalization."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from wavemod import channel as ch
+from wavemod import configio, experiments, metrics, modem
 from wavemod import filterbank as fb
-from wavemod import modem
 from wavemod.errors import (
     ConfigError,
     DelayExceedsFrame,
@@ -60,6 +61,23 @@ class TestAwgn:
         ))
         measured = np.mean(np.abs(out.samples - frame.samples) ** 2)
         assert abs(measured - 4.0) < 0.05
+
+    def test_noise_follows_each_rows_own_power(self):
+        """A row with 10x the power of another gets 10x the noise variance,
+        not a share of the block-wide mean."""
+        x = np.exp(2j * np.pi * np.arange(4096) / 7.0)
+        block = frame_of(np.stack([x, np.sqrt(10.0) * x]))
+        # both rows draw the same unit noise, so only the scaling differs
+        out = ch.awgn(block, ch.AwgnSpec(snr_db=5.0, seed=[[21], [21]]))
+        noise = out.samples - block.samples
+        assert_allclose(np.abs(noise[1]) ** 2, 10.0 * np.abs(noise[0]) ** 2,
+                        rtol=1e-9)
+        assert abs(np.mean(np.abs(noise[0]) ** 2) - 10 ** -0.5) < 0.02
+
+    def test_per_row_seeds_must_match_the_rows(self):
+        block = frame_of(np.ones((3, 64)))
+        with pytest.raises(LengthMismatch):
+            ch.awgn(block, ch.AwgnSpec(snr_db=5.0, seed=[[1], [2]]))
 
     def test_empty_frame_rejected(self):
         with pytest.raises(EmptyFrame):
@@ -211,3 +229,41 @@ class TestEqualize:
         cfg = modem.OfdmConfig(128, oversampling=1, cp_fraction=1 / 8)
         with pytest.raises(LengthMismatch):
             ch.equalize(frame_of(np.ones(64)), ch.MultipathSpec.identity(), cfg)
+
+
+def _block_cases():
+    systems = experiments.system_configs(configio.ExperimentConfig())
+    cases = [pytest.param(cfg, id=name) for name, cfg in systems.items()]
+    for name in ("wpm", "sc_wpm"):
+        cfg = dataclasses.replace(systems[name], wpm_interp=modem.INTERP_FFT)
+        cases.append(pytest.param(cfg, id=f"{name}-fft"))
+    shaped = dataclasses.replace(systems["sc_ofdm"], tx_rolloff=0.25)
+    cases.append(pytest.param(shaped, id="sc_ofdm-rolloff"))
+    return cases
+
+
+@pytest.mark.parametrize("cfg", _block_cases())
+def test_block_equals_row_by_row_bit_for_bit(cfg):
+    """modulate -> multipath -> awgn -> equalize -> demap on a (B, n) block
+    gives exactly the bytes of B separate one-frame calls."""
+    qpsk = modem.constellation("qpsk")
+    profile = ch.MultipathSpec.ten_path()
+    seeds = [[5, trial, 1] for trial in range(3)]
+    bits = np.random.default_rng(5).integers(0, 2, (3, 2 * cfg.n_subcarriers))
+
+    def link(bits, seed):
+        frame = modem.ofdm_modulate(modem.map_bits(bits, qpsk), cfg)
+        noisy = ch.awgn(ch.apply_multipath(frame, profile), ch.AwgnSpec(
+            snr_db=4.0, seed=seed, reference=ch.EB_PER_BIT,
+            samples_per_bit=cfg.oversampling / qpsk.bits_per_symbol,
+        ))
+        estimate = ch.equalize(noisy, profile, cfg)
+        return (frame.samples, metrics.papr_db(frame), noisy.samples,
+                estimate, modem.demap_symbols(estimate, qpsk))
+
+    block = link(bits, seeds)
+    for row in range(3):
+        single = link(bits[row], seeds[row])
+        for got, want in zip(block, single):
+            assert_array_equal(got[row], want)
+    assert block[-1].shape == bits.shape

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wavemod import cli, configio, experiments
+from wavemod import cli, configio, experiments, metrics
 from wavemod.errors import ConfigError
 
 
@@ -132,12 +132,12 @@ class TestPaprExperiment:
         )
         assert again.to_csv() == papr_table.to_csv()
 
-    def test_worker_count_does_not_change_results(self, papr_table, monkeypatch):
-        monkeypatch.setenv("WAVEMOD_THREADS", "3")
-        threaded = experiments.run_papr_ccdf_compare(
+    def test_block_size_does_not_change_results(self, papr_table, monkeypatch):
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1)  # one trial per block
+        single = experiments.run_papr_ccdf_compare(
             cfg_with(experiment="papr-ccdf", n_trials=200)
         )
-        assert threaded.to_csv() == papr_table.to_csv()
+        assert single.to_csv() == papr_table.to_csv()
 
 
 class TestEvmExperiment:
@@ -174,6 +174,13 @@ class TestBerExperiment:
             assert values[-1] == 0.0
             # broad monotone trend within Monte-Carlo noise
             assert values[0] >= values[-2] - 0.02
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        # 11 frames: one full block and a partial one at the default size
+        cfg = cfg_with(experiment="ber-fading", n_trials=11, ber_ebn0_db="0,8")
+        blocked = experiments.run_ber_fading(cfg).to_csv()
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1)  # one trial per block
+        assert experiments.run_ber_fading(cfg).to_csv() == blocked
 
     def test_identity_channel_noiseless(self):
         table = experiments.run_ber_fading(
@@ -250,6 +257,10 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense.key = 1\n")
         assert cli.main(["se-table", "--config", str(bad)]) == 2
+
+    def test_negative_trials_is_config_error(self, capsys):
+        assert cli.main(["ber-fading", "--trials", "-5"]) == 2
+        assert "trials" in capsys.readouterr().err
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert cli.main(["se-table", "--config", str(tmp_path / "nope.cfg")]) == 2

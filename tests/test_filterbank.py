@@ -237,6 +237,26 @@ class TestWpt:
         rebuilt = fb.SubbandSet.from_flat(flat, fb.WPT_FULL, 3)
         assert np.max(np.abs(fb.iwpt(rebuilt, pair) - x)) < 1e-9
 
+    def test_bands_shorter_than_filter_on_long_input(self):
+        """db20 at 9 levels on 8192 samples: the deep bands (16 samples) are
+        shorter than the 40 taps while the input is long."""
+        pair = fb.filter_by_name("db20")
+        x = np.ones(8192)
+        back = fb.iwpt(fb.wpt(x, pair, 9), pair)
+        assert np.max(np.abs(back - x)) < 1e-9
+
+    def test_fft_and_gather_kernels_agree_on_rows_shorter_than_filter(
+            self, monkeypatch):
+        pair = fb.filter_by_name("db20")
+        x = random_signal(3 * 32, seed=16).reshape(3, 32)
+        gathered = fb.analysis_step(x, pair)
+        rebuilt = fb.synthesis_step(*gathered, pair)
+        monkeypatch.setattr(fb, "_FFT_WORK_THRESHOLD", 0)
+        for fft_out, gather_out in zip(fb.analysis_step(x, pair), gathered):
+            assert_allclose(fft_out, gather_out, atol=1e-12)
+        assert_allclose(fb.synthesis_step(*gathered, pair), rebuilt, atol=1e-12)
+        assert_allclose(rebuilt, x, atol=1e-12)
+
 
 @settings(max_examples=20, deadline=None)
 @given(
