@@ -32,7 +32,6 @@ from .metrics import (
     ber,
     ccdf_to_csv,
     evm,
-    merge_ccdf,
     occupied_bandwidth,
     papr_ccdf,
     papr_db,

@@ -120,6 +120,12 @@ class ExperimentConfig:
     mg_grid_points: int = 10000
     mg_srrc_rolloffs: str = "0.22,0.5"
 
+    def __post_init__(self):
+        for key, minimum in _MINIMUMS.items():
+            value = getattr(self, _KEY_MAP[key][0])
+            if value < minimum:
+                raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+
 
 _KEY_MAP = {
     "experiment": ("experiment", str),
@@ -153,6 +159,17 @@ _KEY_MAP = {
     "modgauss.l_max": ("mg_l_max", _parse_int),
     "modgauss.grid_points": ("mg_grid_points", _parse_int),
     "modgauss.srrc_rolloffs": ("mg_srrc_rolloffs", str),
+}
+
+# Lower bound of each integer key that has one.  Below it a study would
+# fail inside numpy (a negative generator seed, an empty grid) or math.log2
+# instead of with a ConfigError.
+_MINIMUMS = {
+    "seed": 0,
+    "trials": 0,
+    "channel.seed": 0,
+    "modem.n_subcarriers": 1,
+    "modgauss.grid_points": 1,
 }
 
 

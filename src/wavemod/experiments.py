@@ -41,8 +41,6 @@ SYSTEM_ORDER = ("wpm", "ofdm", "sc_wpm", "sc_ofdm")
 
 def _trial_count(cfg: ExperimentConfig, default: int) -> int:
     """The configured trial count, or the study's default when it is 0."""
-    if cfg.n_trials < 0:
-        raise ConfigError(f"trials must be >= 0 (0 = default), got {cfg.n_trials}")
     return cfg.n_trials or default
 
 
@@ -217,7 +215,7 @@ def run_ber_fading(cfg: ExperimentConfig) -> ResultTable:
         chain = systems[name]
         for e_index, ebn0 in enumerate(ebn0_grid):
             errors = 0
-            for trials in metrics.trial_blocks(0, n_frames, chain.frame_length):
+            for trials in metrics.trial_blocks(n_frames, chain.frame_length):
                 bits = np.stack([
                     np.random.default_rng([cfg.seed, s_index, e_index, trial])
                     .integers(0, 2, bits_per_frame)

@@ -14,6 +14,11 @@ shift, giving a zero-delay roundtrip.
 
 Operations accept arrays of shape (..., n) and transform the last axis, so
 Monte-Carlo batches can be pushed through in one call.
+
+The multi-level transforms return a SubbandSet: one (..., n) coefficient
+array with the bands side by side along the last axis, coarsest first (the
+full packet tree's 2**J bands in natural order).  Its ``bands`` are views
+into that array, never copies.
 """
 
 from __future__ import annotations
@@ -212,62 +217,53 @@ def synthesis_step(a, d, pair: WaveletFilterPair):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubbandSet:
-    """Critically sampled subband decomposition of one signal block."""
+    """Critically sampled subband decomposition of one signal block.
 
-    bands: list = field(repr=False)
+    ``coeffs`` is one (..., n) array holding every band along the last
+    axis, coarsest first: [a_J, d_J, d_{J-1}, ..., d_1] for the pruned DWT
+    tree, and for the full packet tree the level-J stack of 2**J equal
+    bands in natural order, so ``coeffs.reshape(..., 2**J, n >> J)`` is that
+    stack.  :attr:`bands` splits it into views.
+    """
+
+    coeffs: np.ndarray = field(repr=False)
     tree_kind: str = DWT_PRUNED
     levels: int = 1
-    original_length: int = 0
 
     def __post_init__(self):
-        if self.tree_kind not in (DWT_PRUNED, WPT_FULL):
-            raise ConfigError(f"unknown tree kind {self.tree_kind!r}")
-        expected = (
-            self.levels + 1 if self.tree_kind == DWT_PRUNED else 2**self.levels
-        )
-        if len(self.bands) != expected:
-            raise ConfigError(
-                f"{self.tree_kind} at {self.levels} levels needs {expected} "
-                f"bands, got {len(self.bands)}"
-            )
-        total = sum(b.shape[-1] for b in self.bands)
-        if total != self.original_length:
-            raise ConfigError(
-                f"subband sample count {total} != original length "
-                f"{self.original_length}"
-            )
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs))
+        band_lengths(self.tree_kind, self.levels, self.coeffs.shape[-1])
 
-    def concatenated(self) -> np.ndarray:
-        """All bands joined along the last axis (coarsest first)."""
-        return np.concatenate(self.bands, axis=-1)
+    @property
+    def bands(self) -> list[np.ndarray]:
+        """Per-band views of ``coeffs`` (no copy), coarsest first."""
+        lengths = band_lengths(self.tree_kind, self.levels, self.coeffs.shape[-1])
+        return np.split(self.coeffs, np.cumsum(lengths)[:-1], axis=-1)
 
     @classmethod
     def from_flat(cls, vec, tree_kind: str, levels: int) -> "SubbandSet":
-        """Rebuild a SubbandSet from its concatenated coefficient vector."""
-        vec = np.asarray(vec)
-        n = vec.shape[-1]
-        lengths = band_lengths(tree_kind, levels, n)
-        bands = []
-        start = 0
-        for size in lengths:
-            bands.append(vec[..., start:start + size])
-            start += size
-        return cls(bands=bands, tree_kind=tree_kind, levels=levels,
-                   original_length=n)
+        """Wrap a flat coefficient vector (no copy) as a SubbandSet."""
+        return cls(vec, tree_kind, levels)
 
 
 def band_lengths(tree_kind: str, levels: int, n: int) -> list[int]:
-    """Per-band coefficient counts for a length-n input."""
+    """Per-band coefficient counts for a length-n input.
+
+    The one check of a subband layout: raises ConfigError for an unknown
+    tree kind or levels < 1, and BadLength unless 2**levels divides n.
+    """
+    if tree_kind not in (DWT_PRUNED, WPT_FULL):
+        raise ConfigError(f"unknown tree kind {tree_kind!r}")
+    if levels < 1:
+        raise ConfigError("levels must be >= 1")
     if n % (2**levels) != 0:
         raise BadLength(f"length {n} not divisible by 2**{levels}")
     if tree_kind == DWT_PRUNED:
         # [a_J, d_J, d_{J-1}, ..., d_1]
         return [n >> levels] + [n >> j for j in range(levels, 0, -1)]
-    if tree_kind == WPT_FULL:
-        return [n >> levels] * (2**levels)
-    raise ConfigError(f"unknown tree kind {tree_kind!r}")
+    return [n >> levels] * (2**levels)
 
 
 def dwt(x, pair: WaveletFilterPair, levels: int) -> SubbandSet:
@@ -276,27 +272,22 @@ def dwt(x, pair: WaveletFilterPair, levels: int) -> SubbandSet:
     Bands are ordered coarsest first: [a_J, d_J, d_{J-1}, ..., d_1].
     """
     x = np.asarray(x)
-    n = x.shape[-1]
-    if levels < 1:
-        raise ConfigError("levels must be >= 1")
-    if n % (2**levels) != 0:
-        raise BadLength(f"length {n} not divisible by 2**{levels}")
+    band_lengths(DWT_PRUNED, levels, x.shape[-1])
     details = []
     approx = x
     for _ in range(levels):
         approx, d = analysis_step(approx, pair)
         details.append(d)
-    bands = [approx] + details[::-1]
-    return SubbandSet(bands=bands, tree_kind=DWT_PRUNED, levels=levels,
-                      original_length=n)
+    coeffs = np.concatenate([approx] + details[::-1], axis=-1)
+    return SubbandSet(coeffs, DWT_PRUNED, levels)
 
 
 def idwt(subbands: SubbandSet, pair: WaveletFilterPair):
     """Inverse multi-level DWT."""
     if subbands.tree_kind != DWT_PRUNED:
         raise ConfigError("idwt expects a DWT-pruned subband set")
-    approx = subbands.bands[0]
-    for d in subbands.bands[1:]:
+    approx, *details = subbands.bands
+    for d in details:
         approx = synthesis_step(approx, d, pair)
     return approx
 
@@ -308,11 +299,7 @@ def wpt(x, pair: WaveletFilterPair, levels: int) -> SubbandSet:
     length, so each level is one batched analysis call.
     """
     x = np.asarray(x)
-    n = x.shape[-1]
-    if levels < 1:
-        raise ConfigError("levels must be >= 1")
-    if n % (2**levels) != 0:
-        raise BadLength(f"length {n} not divisible by 2**{levels}")
+    band_lengths(WPT_FULL, levels, x.shape[-1])
     stack = x[..., None, :]
     for _ in range(levels):
         a, d = analysis_step(stack, pair)
@@ -322,17 +309,16 @@ def wpt(x, pair: WaveletFilterPair, levels: int) -> SubbandSet:
         merged[..., 0::2, :] = a
         merged[..., 1::2, :] = d
         stack = merged
-    bands = [stack[..., i, :] for i in range(2**levels)]
-    return SubbandSet(bands=bands, tree_kind=WPT_FULL, levels=levels,
-                      original_length=n)
+    return SubbandSet(stack.reshape(x.shape), WPT_FULL, levels)
 
 
 def iwpt(subbands: SubbandSet, pair: WaveletFilterPair):
     """Inverse full wavelet-packet transform."""
     if subbands.tree_kind != WPT_FULL:
         raise ConfigError("iwpt expects a full-tree subband set")
-    stack = np.stack(subbands.bands, axis=-2)
-    for _ in range(subbands.levels):
+    coeffs, levels = subbands.coeffs, subbands.levels
+    stack = coeffs.reshape(coeffs.shape[:-1] + (2**levels, coeffs.shape[-1] >> levels))
+    for _ in range(levels):
         stack = synthesis_step(stack[..., 0::2, :], stack[..., 1::2, :], pair)
     return stack[..., 0, :]
 

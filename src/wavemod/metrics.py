@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as _signal
 
 from .errors import (
     ConfigError,
@@ -85,50 +84,34 @@ class CcdfCurve:
         return float(t[j - 1] + frac * (t[j] - t[j - 1]))
 
 
-def merge_ccdf(curves) -> CcdfCurve:
-    """Order-independent merge of partial CCDF counts (associative)."""
-    curves = list(curves)
-    base = curves[0].thresholds_db
-    counts = np.zeros_like(curves[0].exceed_counts)
-    total = 0
-    for c in curves:
-        if not np.array_equal(c.thresholds_db, base):
-            raise ConfigError("cannot merge CCDFs over different thresholds")
-        counts = counts + c.exceed_counts
-        total += c.n_trials
-    return CcdfCurve(base, counts / total, total, exceed_counts=counts)
-
-
 # Monte-Carlo loops push blocks of trials through the chains; a block holds
 # about this many bytes of complex samples (8 frames of 2048 samples).
 # Per-trial seeding makes every output byte independent of the block size.
 _BLOCK_BYTES = 1 << 18
 
 
-def trial_blocks(first: int, count: int, frame_length: int):
-    """Consecutive trial ranges covering [first, first + count), each small
-    enough that its frames of frame_length complex samples fit the block
-    budget (at least one trial per block)."""
+def trial_blocks(count: int, frame_length: int):
+    """Consecutive trial ranges covering [0, count), each small enough that
+    its frames of frame_length complex samples fit the block budget (at
+    least one trial per block)."""
     size = max(1, _BLOCK_BYTES // (16 * frame_length))
-    stop = first + count
-    return [range(start, min(start + size, stop))
-            for start in range(first, stop, size)]
+    return [range(start, min(start + size, count))
+            for start in range(0, count, size)]
 
 
 def papr_ccdf(cfg: OfdmConfig, spec: ConstellationSpec, n_symbols: int,
-              thresholds_db, seed: int, first_trial: int = 0) -> CcdfCurve:
+              thresholds_db, seed: int) -> CcdfCurve:
     """CCDF of per-symbol PAPR over seeded random payloads.
 
-    Trial k draws its bits from a generator seeded [seed, k], so partial
-    runs over disjoint trial ranges merge (see :func:`merge_ccdf`) to the
-    same curve regardless of scheduling or block size.
+    Trial k draws its bits from a generator seeded [seed, k], so the curve
+    does not depend on how the trials are split into blocks.
     """
     if n_symbols < 1:
         raise ConfigError("need at least one symbol")
     thresholds_db = np.asarray(thresholds_db, dtype=float)
     counts = np.zeros(len(thresholds_db), dtype=np.int64)
     n_bits = cfg.n_subcarriers * spec.bits_per_symbol
-    for trials in trial_blocks(first_trial, n_symbols, cfg.frame_length):
+    for trials in trial_blocks(n_symbols, cfg.frame_length):
         bits = np.stack([np.random.default_rng([seed, trial]).integers(0, 2, n_bits)
                          for trial in trials])
         values = papr_db(ofdm_modulate(map_bits(bits, spec), cfg))
@@ -199,6 +182,10 @@ def psd(frame: BasebandFrame, method=None) -> PsdEstimate:
     The two-sided density integrates to the frame's average power within
     estimator tolerance.
     """
+    # imported here: scipy.signal takes about a second to load and no
+    # study calls psd()
+    from scipy import signal as _signal
+
     x = np.asarray(frame.samples)
     fs = float(frame.sample_rate)
     if method is None:

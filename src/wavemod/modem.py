@@ -367,9 +367,9 @@ def _precode(symbols: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     if cfg.precoder == PRECODER_WPT:
         bands = wpt(symbols, cfg.effective_precoder_pair,
                     cfg.effective_precoder_levels)
-        return bands.concatenated()
+        return bands.coeffs
     bands = dwt(symbols, cfg.effective_precoder_pair, cfg.effective_precoder_levels)
-    return bands.concatenated()
+    return bands.coeffs
 
 
 def _unprecode(vec: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
@@ -425,7 +425,7 @@ def _analyze_body(body: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
         chips = _spectral_decimate(body, os, n)
     else:
         chips = _fir_decimate(body, os)
-    return wpt(chips, cfg.pair, cfg.levels).concatenated()
+    return wpt(chips, cfg.pair, cfg.levels).coeffs
 
 
 def ofdm_modulate(symbols, cfg: OfdmConfig) -> BasebandFrame:

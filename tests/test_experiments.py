@@ -262,6 +262,23 @@ class TestCli:
         assert cli.main(["ber-fading", "--trials", "-5"]) == 2
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, line", [
+        (["papr-ccdf", "--seed", "-1"], None),
+        (["evm-sweep", "--seed", "-1"], None),
+        (["papr-ccdf"], "modem.n_subcarriers = 0"),
+        (["ber-fading"], "channel.seed = -1"),
+        (["modgauss-report"], "modgauss.grid_points = 0"),
+    ])
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, args, line):
+        if line is not None:
+            path = tmp_path / "range.cfg"
+            path.write_text(line + "\n")
+            args = args + ["--config", str(path)]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wavemod: config error:")
+        assert err.count("\n") == 1
+
     def test_missing_config_file_exit_code(self, tmp_path):
         assert cli.main(["se-table", "--config", str(tmp_path / "nope.cfg")]) == 2
 

@@ -159,11 +159,11 @@ class TestDwt:
         haar = fb.make_filter("haar")
         x = np.zeros(8)
         x[0] = 1.0
-        got = fb.dwt(x, haar, levels=3).concatenated()
+        got = fb.dwt(x, haar, levels=3).coeffs
         assert_allclose(got, HAAR8 @ x, atol=1e-12)
         # and for a dense input
         y = random_signal(8, seed=3, complex_valued=False)
-        assert_allclose(fb.dwt(y, haar, 3).concatenated(), HAAR8 @ y, atol=1e-12)
+        assert_allclose(fb.dwt(y, haar, 3).coeffs, HAAR8 @ y, atol=1e-12)
 
     def test_dwt_equals_orthogonal_matrix_small_instances(self):
         """dwt on length-2^J inputs is multiplication by an orthogonal
@@ -171,11 +171,11 @@ class TestDwt:
         for name, n, levels in [("db2", 8, 3), ("haar", 16, 4), ("sym3", 16, 2)]:
             pair = fb.filter_by_name(name)
             mat = np.column_stack(
-                [fb.dwt(col, pair, levels).concatenated() for col in np.eye(n)]
+                [fb.dwt(col, pair, levels).coeffs for col in np.eye(n)]
             )
             assert np.max(np.abs(mat.T @ mat - np.eye(n))) < 1e-10
             x = random_signal(n, seed=n)
-            assert_allclose(fb.dwt(x, pair, levels).concatenated(), mat @ x,
+            assert_allclose(fb.dwt(x, pair, levels).coeffs, mat @ x,
                             atol=1e-10)
 
     def test_roundtrip_db10(self):
@@ -233,7 +233,7 @@ class TestWpt:
     def test_flat_layout_roundtrip(self):
         pair = fb.filter_by_name("db3")
         x = random_signal(64, seed=15)
-        flat = fb.wpt(x, pair, 3).concatenated()
+        flat = fb.wpt(x, pair, 3).coeffs
         rebuilt = fb.SubbandSet.from_flat(flat, fb.WPT_FULL, 3)
         assert np.max(np.abs(fb.iwpt(rebuilt, pair) - x)) < 1e-9
 
@@ -275,21 +275,21 @@ def test_roundtrip_property(seed, k, name):
 
 class TestSubbandSet:
     def test_band_count_validated(self):
-        with pytest.raises(ConfigError):
-            fb.SubbandSet(bands=[np.zeros(4)], tree_kind=fb.WPT_FULL,
-                          levels=2, original_length=4)
-
-    def test_total_length_validated(self):
-        with pytest.raises(ConfigError):
-            fb.SubbandSet(
-                bands=[np.zeros(2), np.zeros(3)], tree_kind=fb.WPT_FULL,
-                levels=1, original_length=4,
-            )
+        """Four coefficients cannot form the 2**3 bands of a 3-level tree."""
+        with pytest.raises(BadLength):
+            fb.SubbandSet(np.zeros(4), tree_kind=fb.WPT_FULL, levels=3)
 
     def test_unknown_tree_kind(self):
         with pytest.raises(ConfigError):
-            fb.SubbandSet(bands=[np.zeros(4)], tree_kind="pruned-wpt",
-                          levels=1, original_length=4)
+            fb.SubbandSet(np.zeros(4), tree_kind="pruned-wpt", levels=1)
+
+    def test_bands_are_views_of_coeffs(self):
+        pair = fb.filter_by_name("db3")
+        x = random_signal(2 * 64, seed=17).reshape(2, 64)
+        for out in (fb.wpt(x, pair, 3), fb.dwt(x, pair, 3)):
+            assert all(np.shares_memory(b, out.coeffs) for b in out.bands)
+        flat = fb.wpt(x, pair, 3).coeffs
+        assert fb.SubbandSet.from_flat(flat, fb.WPT_FULL, 3).coeffs is flat
 
     def test_band_lengths_layouts(self):
         assert fb.band_lengths(fb.DWT_PRUNED, 3, 32) == [4, 4, 8, 16]

@@ -1,8 +1,14 @@
 """PAPR, CCDF, EVM, BER, PSD and bandwidth measurements."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import wavemod
 from wavemod import metrics, modem
 from wavemod.errors import (
     ConfigError,
@@ -81,18 +87,6 @@ class TestPaprCcdf:
             count += metrics.papr_db(frame) > threshold
         curve = metrics.papr_ccdf(cfg, QPSK, n, [threshold], seed=6)
         assert curve.probabilities[0] == count / n
-
-    def test_merge_matches_serial(self):
-        cfg = modem.OfdmConfig(64)
-        thresholds = np.arange(2.0, 16.01, 1.0)
-        serial = metrics.papr_ccdf(cfg, QPSK, 120, thresholds, seed=7)
-        parts = [
-            metrics.papr_ccdf(cfg, QPSK, 40, thresholds, seed=7, first_trial=f)
-            for f in (0, 40, 80)
-        ]
-        merged = metrics.merge_ccdf(parts)
-        assert np.array_equal(merged.probabilities, serial.probabilities)
-        assert merged.n_trials == serial.n_trials
 
     def test_level_interpolation(self):
         curve = metrics.CcdfCurve(
@@ -212,6 +206,19 @@ class TestPsd:
     def test_frame_too_short(self):
         with pytest.raises(FrameTooShort):
             metrics.psd(frame_of(np.ones(64)), metrics.WelchMethod(segment=256))
+
+    def test_cli_import_does_not_load_scipy_signal(self):
+        """scipy.signal loads only when psd() runs; the studies never pay
+        its import time."""
+        src = str(Path(wavemod.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        probe = "import sys, wavemod.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestOccupiedBandwidth:
