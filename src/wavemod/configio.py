@@ -125,6 +125,9 @@ class ExperimentConfig:
             value = getattr(self, _KEY_MAP[key][0])
             if value < minimum:
                 raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+        for key in _NONEMPTY_LISTS:
+            if not parse_float_list(getattr(self, _KEY_MAP[key][0])):
+                raise ConfigError(f"{key} must hold at least one value")
 
 
 _KEY_MAP = {
@@ -171,6 +174,10 @@ _MINIMUMS = {
     "modem.n_subcarriers": 1,
     "modgauss.grid_points": 1,
 }
+
+# Number lists that are a study's table rows: empty, the study would write
+# a CSV holding only its header.
+_NONEMPTY_LISTS = ("papr.thresholds_db", "evm.cutoffs", "ber.ebn0_db")
 
 
 def read_config_file(path) -> dict:

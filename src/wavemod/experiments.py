@@ -128,13 +128,16 @@ def run_papr_ccdf_compare(cfg: ExperimentConfig) -> ResultTable:
 # --- EVM vs receiver bandwidth ----------------------------------------------------
 
 
-def _brickwall(samples: np.ndarray, cutoff: float) -> np.ndarray:
-    """Ideal lowpass in the frame's DFT domain; cutoff 1.0 keeps everything."""
-    if cutoff >= 1.0:
-        return samples
+def _brickwall(samples: np.ndarray, cutoffs) -> list:
+    """Ideal lowpass in the frame's DFT domain, one output per cutoff; cutoff
+    1.0 keeps everything.  The frame is transformed once for all cutoffs."""
     spectrum = np.fft.fft(samples)
-    keep = np.abs(np.fft.fftfreq(len(samples))) <= 0.5 * cutoff + 1e-12
-    return np.fft.ifft(spectrum * keep)
+    freqs = np.abs(np.fft.fftfreq(len(samples)))
+    return [
+        samples if cutoff >= 1.0
+        else np.fft.ifft(spectrum * (freqs <= 0.5 * cutoff + 1e-12))
+        for cutoff in cutoffs
+    ]
 
 
 def run_evm_bandwidth_sweep(cfg: ExperimentConfig) -> ResultTable:
@@ -166,8 +169,7 @@ def run_evm_bandwidth_sweep(cfg: ExperimentConfig) -> ResultTable:
         symbols = modem.map_bits(bits, spec)
         for column, chain in enumerate((ft, wt)):
             frame = modem.ofdm_modulate(symbols, chain)
-            for i, cutoff in enumerate(cutoffs):
-                filtered = _brickwall(frame.samples, cutoff)
+            for i, filtered in enumerate(_brickwall(frame.samples, cutoffs)):
                 estimate = modem.ofdm_demodulate(
                     modem.BasebandFrame(filtered, frame.sample_rate, chain),
                     chain,

@@ -23,6 +23,7 @@ into that array, never copies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,9 +140,22 @@ def filter_by_name(name: str) -> WaveletFilterPair:
     raise UnsupportedFamily(f"cannot parse wavelet name {name!r}")
 
 
+# The index tables depend only on (row length, taps), and a transform at J
+# levels needs J of them, so each is built once and shared read-only.
+@functools.lru_cache(maxsize=128)
 def _gather_index(n: int, taps: int) -> np.ndarray:
     # row k holds the circular sample indices feeding output coefficient k
-    return (np.arange(taps)[None, :] + 2 * np.arange(n // 2)[:, None]) % n
+    idx = (np.arange(taps)[None, :] + 2 * np.arange(n // 2)[:, None]) % n
+    idx.flags.writeable = False
+    return idx
+
+
+@functools.lru_cache(maxsize=128)
+def _synthesis_index(half: int, taps: int) -> np.ndarray:
+    # row m holds the subband indices m - p (circular) for polyphase tap p
+    idx = (np.arange(half)[:, None] - np.arange(taps)[None, :]) % half
+    idx.flags.writeable = False
+    return idx
 
 
 # Above this many scalar multiply-adds the circular correlations run as
@@ -159,12 +173,25 @@ def analysis_step(x, pair: WaveletFilterPair):
 
     Uses periodic extension.  Accepts (..., n) arrays and returns a pair of
     (..., n/2) arrays.
+
+    Summation order: a two-tap pair runs elementwise on the even and odd
+    samples, a = even*h[0] + odd*h[1], so every row gives the same bits
+    whatever the leading axes.  Longer pairs take a gathered matmul, whose
+    order is numpy's choice for each shape: a single (n/2, L) slice runs
+    one BLAS gemv, stacked bands the in-order non-BLAS loop, and
+    one-coefficient bands a dot per slice; so their bits can depend on the
+    leading axes, and on the BLAS build.  Large arrays of longer pairs run
+    as FFT products instead.
     """
     x = np.asarray(x)
     n = x.shape[-1]
     if n % 2 != 0:
         raise OddLength(f"signal length {n} is odd")
-    if x.size * pair.length >= _FFT_WORK_THRESHOLD and pair.length > 2:
+    if pair.length == 2:
+        even, odd = x[..., 0::2], x[..., 1::2]
+        h, g = pair.h, pair.g
+        return even * h[0] + odd * h[1], even * g[0] + odd * g[1]
+    if x.size * pair.length >= _FFT_WORK_THRESHOLD:
         spectrum = np.fft.fft(x, axis=-1)
         corr_h = np.fft.ifft(
             spectrum * np.conj(np.fft.fft(_pad_taps(pair.h, n))), axis=-1
@@ -207,11 +234,15 @@ def synthesis_step(a, d, pair: WaveletFilterPair):
         if not (np.iscomplexobj(a) or np.iscomplexobj(d)):
             return out.real
         return out
-    taps = pair.length // 2
-    idx = (np.arange(half)[:, None] - np.arange(taps)[None, :]) % half
+    out = np.empty(a.shape[:-1] + (n,), dtype=np.result_type(a, d, pair.h))
+    if pair.length == 2:
+        h, g = pair.h, pair.g
+        out[..., 0::2] = a * h[0] + d * g[0]
+        out[..., 1::2] = a * h[1] + d * g[1]
+        return out
+    idx = _synthesis_index(half, pair.length // 2)
     win_a = a[..., idx]
     win_d = d[..., idx]
-    out = np.empty(a.shape[:-1] + (n,), dtype=np.result_type(a, d, pair.h))
     out[..., 0::2] = win_a @ pair.h[0::2] + win_d @ pair.g[0::2]
     out[..., 1::2] = win_a @ pair.h[1::2] + win_d @ pair.g[1::2]
     return out

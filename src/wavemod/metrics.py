@@ -87,6 +87,10 @@ class CcdfCurve:
 # Monte-Carlo loops push blocks of trials through the chains; a block holds
 # about this many bytes of complex samples (8 frames of 2048 samples).
 # Per-trial seeding makes every output byte independent of the block size.
+# It stays at 256 KiB because twice this (16 frames) costs memory for an
+# unproven speed-up: on the papr-tx benchmark (2 vCPUs) it added 1.4 MB
+# peak RSS (+3.5%, most of that metric's 5% bound), and its frames/s gain
+# (+7 to +17% in 3 pairs) was too few pairs to tell from the machine's drift.
 _BLOCK_BYTES = 1 << 18
 
 

@@ -25,6 +25,7 @@ positive rail, the in-phase rail carries the first bit(s).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,20 +309,27 @@ def _rescale(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(silent[..., None], y, y * gain[..., None])
 
 
+@functools.lru_cache(maxsize=32)
+def _fir_kernel_spectrum(m: int, os: int) -> np.ndarray:
+    """DFT of the zero-phase interpolation filter wrapped onto m samples;
+    built once per (m, os) and shared read-only."""
+    taps = interpolation_filter(os)
+    center = (len(taps) - 1) // 2
+    kernel = np.zeros(m, dtype=complex)
+    np.add.at(kernel, (np.arange(len(taps)) - center) % m, taps)
+    spectrum = np.fft.fft(kernel)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def _fir_interpolate(x: np.ndarray, os: int) -> np.ndarray:
     """Polyphase interpolation, circular, rescaled to preserve energy."""
     if os == 1:
         return x.copy()
-    n = x.shape[-1]
-    taps = interpolation_filter(os)
-    center = (len(taps) - 1) // 2
-    m = n * os
+    m = x.shape[-1] * os
     up = np.zeros(x.shape[:-1] + (m,), dtype=complex)
     up[..., ::os] = x
-    kernel = np.zeros(m, dtype=complex)
-    idx = (np.arange(len(taps)) - center) % m
-    np.add.at(kernel, idx, taps)
-    y = np.fft.ifft(np.fft.fft(up) * np.fft.fft(kernel))
+    y = np.fft.ifft(np.fft.fft(up) * _fir_kernel_spectrum(m, os))
     return _rescale(y, x)
 
 

@@ -268,6 +268,9 @@ class TestCli:
         (["papr-ccdf"], "modem.n_subcarriers = 0"),
         (["ber-fading"], "channel.seed = -1"),
         (["modgauss-report"], "modgauss.grid_points = 0"),
+        (["evm-sweep"], "evm.cutoffs ="),
+        (["ber-fading"], "ber.ebn0_db ="),
+        (["papr-ccdf"], "papr.thresholds_db = 2:1:0.5"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, args, line):
         if line is not None:

@@ -258,6 +258,75 @@ class TestWpt:
         assert_allclose(rebuilt, x, atol=1e-12)
 
 
+TWO_TAP_PAIRS = [fb.make_filter("haar"),
+                 fb.WaveletFilterPair.from_lowpass([0.6, 0.8], family="rot")]
+
+
+def random_block(shape, seed, complex_valued=True):
+    return random_signal(int(np.prod(shape)), seed, complex_valued).reshape(shape)
+
+
+def gathered_analysis(x, pair):
+    windows = x[..., fb._gather_index(x.shape[-1], pair.length)]
+    return windows @ pair.h, windows @ pair.g
+
+
+def gathered_synthesis(a, d, pair):
+    idx = fb._synthesis_index(a.shape[-1], pair.length // 2)
+    out = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=complex)
+    for r in (0, 1):
+        out[..., r::2] = a[..., idx] @ pair.h[r::2] + d[..., idx] @ pair.g[r::2]
+    return out
+
+
+class TestTwoTapKernel:
+    """The elementwise two-tap path against the gathered matmul formula."""
+
+    @pytest.mark.parametrize("pair", TWO_TAP_PAIRS, ids=lambda p: p.family)
+    @pytest.mark.parametrize("shape", [(8, 2, 256), (3, 64, 8)])
+    def test_bit_equal_to_gather_on_stacked_complex_bands(self, shape, pair):
+        x = random_block(shape, seed=20)
+        for got, want in zip(fb.analysis_step(x, pair), gathered_analysis(x, pair)):
+            assert_array_equal(got, want)
+        a, d = random_block(shape, seed=21), random_block(shape, seed=22)
+        assert_array_equal(fb.synthesis_step(a, d, pair),
+                           gathered_synthesis(a, d, pair))
+
+    @pytest.mark.parametrize("pair", TWO_TAP_PAIRS, ids=lambda p: p.family)
+    @pytest.mark.parametrize("shape, complex_valued", [
+        ((512,), False),
+        ((16, 256, 2), True),
+    ])
+    def test_within_round_off_of_gather_where_numpy_calls_blas(
+            self, shape, complex_valued, pair):
+        x = random_block(shape, seed=23, complex_valued=complex_valued)
+        for got, want in zip(fb.analysis_step(x, pair), gathered_analysis(x, pair)):
+            assert_allclose(got, want, rtol=0, atol=2e-15)
+        a = random_block(shape, seed=24, complex_valued=complex_valued)
+        d = random_block(shape, seed=25, complex_valued=complex_valued)
+        assert_allclose(fb.synthesis_step(a, d, pair),
+                        gathered_synthesis(a, d, pair), rtol=0, atol=2e-15)
+
+    @pytest.mark.parametrize("rows", [1, 7, 16])
+    def test_haar_block_equals_row_calls_bit_for_bit(self, rows):
+        pair = fb.make_filter("haar")
+        x = random_block((rows, 512), seed=26)
+        coeffs = fb.wpt(x, pair, 9).coeffs
+        assert_array_equal(coeffs, np.stack([fb.wpt(r, pair, 9).coeffs for r in x]))
+        back = fb.iwpt(fb.SubbandSet.from_flat(coeffs, fb.WPT_FULL, 9), pair)
+        assert_array_equal(back, np.stack([
+            fb.iwpt(fb.SubbandSet.from_flat(r, fb.WPT_FULL, 9), pair)
+            for r in coeffs
+        ]))
+
+    @pytest.mark.parametrize("table", [fb._gather_index, fb._synthesis_index])
+    def test_index_tables_are_cached_and_read_only(self, table):
+        first = table(64, 4)
+        assert table(64, 4) is first
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -199,6 +199,12 @@ class TestWaveletPacketChain:
             np.sum(np.abs(frame.samples) ** 2) - np.sum(np.abs(symbols) ** 2)
         ) < 1e-9
 
+    def test_fir_kernel_spectrum_is_cached_and_read_only(self):
+        spectrum = modem._fir_kernel_spectrum(2048, 4)
+        assert modem._fir_kernel_spectrum(2048, 4) is spectrum
+        with pytest.raises(ValueError):
+            spectrum[0] = 0.0
+
     def test_db10_roundtrip(self):
         cfg = modem.OfdmConfig(
             512, modem.WAVELET_PACKET, fb.filter_by_name("db10"), 9,
