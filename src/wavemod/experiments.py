@@ -14,8 +14,11 @@ Every Monte-Carlo trial draws its randomness from a generator seeded with
 through the chain functions, which act on the last axis of (..., n)
 arrays; the block size follows from the frame length (see
 metrics.trial_blocks), and per-trial seeding keeps every CSV byte
-independent of it.  evm-sweep runs frame by frame: its round-off-level EVM
-column would change in the last digits under the batched db10 transform.
+independent of it.  evm-sweep demodulates the receiver-filtered copies of
+one frame, a row per cutoff, as one block: below the FFT threshold the db10
+analysis gives every row of a complex block the bits of a call on that row
+alone (see filterbank.analysis_step), so each cutoff's round-off-level EVM
+does not depend on the other cutoffs.
 """
 
 from __future__ import annotations
@@ -128,16 +131,20 @@ def run_papr_ccdf_compare(cfg: ExperimentConfig) -> ResultTable:
 # --- EVM vs receiver bandwidth ----------------------------------------------------
 
 
-def _brickwall(samples: np.ndarray, cutoffs) -> list:
-    """Ideal lowpass in the frame's DFT domain, one output per cutoff; cutoff
-    1.0 keeps everything.  The frame is transformed once for all cutoffs."""
+def _brickwall(samples: np.ndarray, cutoffs) -> np.ndarray:
+    """Ideal lowpass in the frame's DFT domain: one (cutoffs, m) block, a row
+    per cutoff; cutoff 1.0 keeps everything.  The frame is transformed once
+    for all cutoffs."""
+    cutoffs = np.asarray(cutoffs, dtype=float)
+    low = cutoffs < 1.0
     spectrum = np.fft.fft(samples)
     freqs = np.abs(np.fft.fftfreq(len(samples)))
-    return [
-        samples if cutoff >= 1.0
-        else np.fft.ifft(spectrum * (freqs <= 0.5 * cutoff + 1e-12))
-        for cutoff in cutoffs
-    ]
+    block = np.empty((len(cutoffs), len(samples)), dtype=complex)
+    block[~low] = samples
+    block[low] = np.fft.ifft(
+        spectrum * (freqs <= 0.5 * cutoffs[low, None] + 1e-12), axis=-1
+    )
+    return block
 
 
 def run_evm_bandwidth_sweep(cfg: ExperimentConfig) -> ResultTable:
@@ -169,11 +176,12 @@ def run_evm_bandwidth_sweep(cfg: ExperimentConfig) -> ResultTable:
         symbols = modem.map_bits(bits, spec)
         for column, chain in enumerate((ft, wt)):
             frame = modem.ofdm_modulate(symbols, chain)
-            for i, filtered in enumerate(_brickwall(frame.samples, cutoffs)):
-                estimate = modem.ofdm_demodulate(
-                    modem.BasebandFrame(filtered, frame.sample_rate, chain),
-                    chain,
-                )
+            estimates = modem.ofdm_demodulate(
+                modem.BasebandFrame(_brickwall(frame.samples, cutoffs),
+                                    frame.sample_rate, chain),
+                chain,
+            )
+            for i, estimate in enumerate(estimates):
                 total[i, column] += metrics.evm(estimate, symbols)
     table = ResultTable(
         columns=["cutoff", "evm_ft", "evm_wt"],

@@ -162,6 +162,11 @@ def _synthesis_index(half: int, taps: int) -> np.ndarray:
 # FFT products instead of gathered matmuls; both paths agree to ~1e-13.
 _FFT_WORK_THRESHOLD = 1 << 18
 
+# Most multiply-adds one gemv of the one-band gather path may run.
+# OpenBLAS 0.3.31 hands a zgemv of 4096 or more to its thread pool, whose
+# worker then spins between calls; below that it runs on the calling thread.
+_GEMV_SLICE_MACS = 2048
+
 
 def _pad_taps(taps: np.ndarray, n: int) -> np.ndarray:
     # taps beyond the period wrap around, as in the gather path's index table
@@ -174,13 +179,30 @@ def analysis_step(x, pair: WaveletFilterPair):
     Uses periodic extension.  Accepts (..., n) arrays and returns a pair of
     (..., n/2) arrays.
 
+    The last two axes of an input with two or more axes are one frame's
+    (bands, n) stack; the axes before them only count frames.
+
     Summation order: a two-tap pair runs elementwise on the even and odd
-    samples, a = even*h[0] + odd*h[1], so every row gives the same bits
-    whatever the leading axes.  Longer pairs take a gathered matmul, whose
-    order is numpy's choice for each shape: a single (n/2, L) slice runs
-    one BLAS gemv, stacked bands the in-order non-BLAS loop, and
-    one-coefficient bands a dot per slice; so their bits can depend on the
-    leading axes, and on the BLAS build.  Large arrays of longer pairs run
+    samples, a = even*h[0] + odd*h[1].  Longer pairs take a gathered
+    product whose path follows the frame shape, never the frame count:
+
+    * one band of n > 2 samples (a 1-D input, or a frame stack of one
+      band): 2-D BLAS gemvs of gathered windows, ``windows @ h``, over the
+      rows of every frame, in slices of at most ``_GEMV_SLICE_MACS``
+      multiply-adds, so OpenBLAS never wakes its thread pool;
+    * stacked bands: numpy's in-order non-BLAS loop;
+    * n == 2: a dot per band.
+
+    Each gather takes whole frames: one, or as many as fit in
+    ``_GEMV_SLICE_MACS`` multiply-adds, which bounds the windows' memory.
+
+    A complex gemv row gives the same bits for any row count of two or
+    more (numpy sends a one-row product to dot, so no slice has one row),
+    so below the FFT threshold every frame of a complex block gives the
+    bits of a call on that frame alone.  A real gemv sums in groups of 4
+    rows; slices start on such a group, so slicing keeps the bits of one
+    unsliced gemv, but rows of several short frames share groups.  The
+    bits also depend on the BLAS build.  Large arrays of longer pairs run
     as FFT products instead.
     """
     x = np.asarray(x)
@@ -204,8 +226,42 @@ def analysis_step(x, pair: WaveletFilterPair):
             return a.real, d.real
         return a, d
     idx = _gather_index(n, pair.length)
-    windows = x[..., idx]
-    return windows @ pair.h, windows @ pair.g
+    frames = x.reshape((-1,) + (x.shape[-2:] if x.ndim > 1 else (1, n)))
+    a = np.empty(frames.shape[:-1] + (n // 2,), dtype=np.result_type(x, pair.h))
+    d = np.empty_like(a)
+    if n > 2 and frames.shape[1] == 1:
+        _one_band_gemv(frames[:, 0, :], idx, pair, a.reshape(-1), d.reshape(-1))
+    else:
+        per_gather = max(1, _GEMV_SLICE_MACS // (frames.shape[1] * idx.size))
+        for f in range(0, len(frames), per_gather):
+            # (frames, bands, n/2, L) windows with each frame's bands
+            # innermost, the layout of frame[..., idx]: matmul then runs
+            # numpy's in-order loop, or a dot per band when n == 2
+            block = frames[f:f + per_gather].swapaxes(-1, -2)
+            windows = np.take(block, idx, axis=-2).transpose(0, 3, 1, 2)
+            a[f:f + per_gather] = windows @ pair.h
+            d[f:f + per_gather] = windows @ pair.g
+    out_shape = x.shape[:-1] + (n // 2,)
+    return a.reshape(out_shape), d.reshape(out_shape)
+
+
+def _one_band_gemv(rows, idx, pair: WaveletFilterPair, a, d):
+    """Fill the flat outputs a, d of (frames, n) one-band rows with 2-D
+    gemvs of at most ``_GEMV_SLICE_MACS`` multiply-adds (8 rows for filters
+    longer than 256 taps) and at least two rows.  Windows are gathered one
+    frame at a time, or as many whole frames at a time as one gemv takes."""
+    half, taps = idx.shape
+    step = max(8, (_GEMV_SLICE_MACS // taps) & ~3)  # whole groups of 4 rows
+    per_gather = max(1, step // half)
+    for f in range(0, len(rows), per_gather):
+        windows = np.take(rows[f:f + per_gather], idx, axis=-1).reshape(-1, taps)
+        bounds = list(range(0, len(windows), step))
+        if len(windows) - bounds[-1] == 1:
+            bounds[-1] -= 4  # (step - 4, 5) rows instead of a one-row gemv
+        offset = f * half
+        for lo, hi in zip(bounds, bounds[1:] + [len(windows)]):
+            a[offset + lo:offset + hi] = windows[lo:hi] @ pair.h
+            d[offset + lo:offset + hi] = windows[lo:hi] @ pair.g
 
 
 def synthesis_step(a, d, pair: WaveletFilterPair):
@@ -305,12 +361,12 @@ def dwt(x, pair: WaveletFilterPair, levels: int) -> SubbandSet:
     x = np.asarray(x)
     band_lengths(DWT_PRUNED, levels, x.shape[-1])
     details = []
-    approx = x
+    approx = x[..., None, :]  # one band per frame, the path of a row call
     for _ in range(levels):
         approx, d = analysis_step(approx, pair)
         details.append(d)
     coeffs = np.concatenate([approx] + details[::-1], axis=-1)
-    return SubbandSet(coeffs, DWT_PRUNED, levels)
+    return SubbandSet(coeffs[..., 0, :], DWT_PRUNED, levels)
 
 
 def idwt(subbands: SubbandSet, pair: WaveletFilterPair):

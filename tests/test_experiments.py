@@ -152,6 +152,16 @@ class TestEvmExperiment:
             values = np.asarray(evm_table.column(name))
             assert np.all(np.diff(values) <= 1e-9)
 
+    @pytest.mark.parametrize("cutoff", ["1.0", "0.5"])
+    def test_cutoff_alone_gives_its_row_of_the_full_sweep(self, evm_table, cutoff):
+        """A frame's cutoffs are demodulated as one block; each row's EVM,
+        round-off level at 1.0, does not depend on the rows beside it."""
+        alone = experiments.run_evm_bandwidth_sweep(
+            cfg_with(experiment="evm-sweep", n_trials=10, evm_cutoffs=cutoff)
+        )
+        row = evm_table.column("cutoff").index(float(cutoff))
+        assert alone.rows == [evm_table.rows[row]]
+
     def test_invalid_cutoffs_rejected(self):
         with pytest.raises(ConfigError):
             experiments.run_evm_bandwidth_sweep(

@@ -327,6 +327,77 @@ class TestTwoTapKernel:
             first[0, 0] = 1
 
 
+def row_call_step(x, pair):
+    """The summation a call on one frame runs, written out: one 2-D gemv of
+    gathered windows for a single band, the in-order tap sum for stacked
+    bands, a dot per band for two-sample bands."""
+    n = x.shape[-1]
+    windows = x[..., fb._gather_index(n, pair.length)]
+    out = []
+    for taps in (pair.h, pair.g):
+        if n == 2:
+            dots = [np.dot(w, taps) for w in windows.reshape(-1, pair.length)]
+            out.append(np.reshape(dots, x.shape[:-1] + (1,)))
+        elif x.ndim == 1:
+            out.append(windows @ taps)
+        else:
+            acc = np.zeros(windows.shape[:-1], dtype=complex)
+            for t, tap in enumerate(taps):
+                acc = acc + windows[..., t] * tap
+            out.append(acc)
+    return out
+
+
+def row_call_wpt(x, pair, levels):
+    stack = x
+    for _ in range(levels):
+        a, d = row_call_step(stack, pair)
+        stack = np.stack([a, d], axis=-2).reshape(-1, a.shape[-1])
+    return stack.reshape(-1)
+
+
+def row_call_dwt(x, pair, levels):
+    approx, details = x, []
+    for _ in range(levels):
+        approx, d = row_call_step(approx, pair)
+        details.append(d)
+    return np.concatenate([approx] + details[::-1])
+
+
+BATCH_FAMILIES = ["db2", "db10", "sym8", "coif3"]
+
+
+class TestBatchInvariance:
+    """Longer filters: below the FFT threshold every frame of a complex
+    block gives the bits of a call on that frame alone."""
+
+    @pytest.mark.parametrize("name", BATCH_FAMILIES)
+    @pytest.mark.parametrize("transform, formula", [
+        (fb.wpt, row_call_wpt), (fb.dwt, row_call_dwt),
+    ], ids=["wpt", "dwt"])
+    def test_block_equals_row_calls_bit_for_bit(self, transform, formula, name):
+        pair = fb.filter_by_name(name)
+        x = random_block((9, 512), seed=27)
+        for levels in range(1, 10):
+            rows = np.stack([transform(r, pair, levels).coeffs for r in x])
+            for r, row in zip(x[:2], rows):
+                assert_array_equal(row, formula(r, pair, levels))
+            for count in (2, 7, 9):
+                assert_array_equal(transform(x[:count], pair, levels).coeffs,
+                                   rows[:count])
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_one_row_remainder_equals_one_unsliced_gemv(self, complex_valued):
+        pair = fb.filter_by_name("db10")
+        step = (fb._GEMV_SLICE_MACS // pair.length) & ~3  # rows per full slice
+        n = 2 * (2 * step + 1)  # two full slices and one row left over
+        x = random_signal(n, seed=28, complex_valued=complex_valued)
+        windows = x[fb._gather_index(n, pair.length)]
+        a, d = fb.analysis_step(x, pair)
+        assert_array_equal(a, windows @ pair.h)
+        assert_array_equal(d, windows @ pair.g)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
