@@ -67,8 +67,8 @@ class AwgnSpec:
     def __post_init__(self):
         if self.reference not in (ES_PER_SAMPLE, EB_PER_BIT):
             raise ConfigError(f"unknown SNR reference {self.reference!r}")
-        if math.isnan(self.snr_db):
-            raise ConfigError("snr_db must not be NaN")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ConfigError("snr_db must not be NaN or -inf (infinite noise)")
         if self.samples_per_bit <= 0:
             raise ConfigError("samples_per_bit must be positive")
 
@@ -207,10 +207,11 @@ def equalize(frame: BasebandFrame, channel: MultipathSpec, cfg: OfdmConfig,
              eps: float = 1e-6) -> np.ndarray:
     """Perfect-CSI zero-forcing equalization, then demodulation to symbols.
 
-    Fourier chain: the cyclic prefix is stripped (it must cover the channel
-    memory), one-tap ZF is applied per occupied bin of the body DFT, and
-    the result is fed through the inverse precoder.  Raises SingularChannel
-    when any occupied bin of the channel response falls below eps.
+    Fourier chain: the cyclic prefix is stripped, one-tap ZF is applied per
+    occupied bin of the body DFT, and the result is fed through the inverse
+    precoder.  Raises SingularChannel when any occupied bin of the channel
+    response falls below eps, and otherwise ConfigError when the cyclic
+    prefix is shorter than the channel memory (max_delay samples).
 
     Wavelet-packet chain: the whole frame is deconvolved in the frequency
     domain with an eps**2 Tikhonov floor (the chain has no prefix), then
@@ -236,6 +237,11 @@ def equalize(frame: BasebandFrame, channel: MultipathSpec, cfg: OfdmConfig,
         if np.any(np.abs(response[occupied]) < eps):
             raise SingularChannel(
                 "channel response below eps on an occupied subcarrier"
+            )
+        if cfg.cp_length < channel.max_delay:
+            raise ConfigError(
+                f"cyclic prefix ({cfg.cp_length} samples) shorter than the "
+                f"channel memory ({channel.max_delay} samples)"
             )
         spectrum = np.fft.fft(body, norm="ortho")
         spectrum[..., occupied] /= response[occupied]

@@ -3,7 +3,8 @@
     wavemod <experiment> [--config path] [--seed S] [--trials N] [--out path.csv]
 
 Experiments: papr-ccdf, evm-sweep, ber-fading, se-table, modgauss-report.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure or any
+other error (one line on stderr, never a traceback).
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"wavemod: config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # the CLI reports, it never prints a traceback
+        print(f"wavemod: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
     return 0
 
 

@@ -40,14 +40,25 @@ def _parse_int(text: str) -> int:
         raise ConfigError(f"cannot parse integer from {text!r}") from None
 
 
+def _parse_finite(text: str) -> float:
+    value = _parse_float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def parse_float_list(text: str) -> list[float]:
-    """Comma list ('1,2,3') or range ('start:stop:step', stop inclusive)."""
+    """Comma list ('1,2,3') or range ('start:stop:step', stop inclusive).
+
+    Every value is finite, except that a list item written `inf` (or
+    `+inf`) is +inf; NaN and -inf are configuration errors.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"range syntax is start:stop:step, got {text!r}")
-        start, stop, step = (_parse_float(p) for p in parts)
+        start, stop, step = (_parse_finite(p) for p in parts)
         if step <= 0:
             raise ConfigError("range step must be positive")
         values = []
@@ -64,7 +75,7 @@ def parse_float_list(text: str) -> list[float]:
         item = item.strip()
         if not item:
             continue
-        out.append(math.inf if item.lower() in ("inf", "+inf") else _parse_float(item))
+        out.append(math.inf if item.lower() in ("inf", "+inf") else _parse_finite(item))
     return out
 
 
@@ -126,8 +137,11 @@ class ExperimentConfig:
             if value < minimum:
                 raise ConfigError(f"{key} must be >= {minimum}, got {value}")
         for key in _NONEMPTY_LISTS:
-            if not parse_float_list(getattr(self, _KEY_MAP[key][0])):
+            values = parse_float_list(getattr(self, _KEY_MAP[key][0]))
+            if not values:
                 raise ConfigError(f"{key} must hold at least one value")
+            if key != _INF_LIST and math.inf in values:
+                raise ConfigError(f"{key} must be finite (only {_INF_LIST} takes inf)")
 
 
 _KEY_MAP = {
@@ -178,6 +192,9 @@ _MINIMUMS = {
 # Number lists that are a study's table rows: empty, the study would write
 # a CSV holding only its header.
 _NONEMPTY_LISTS = ("papr.thresholds_db", "evm.cutoffs", "ber.ebn0_db")
+
+# The one number list where inf means something: a noiseless Eb/N0 point.
+_INF_LIST = "ber.ebn0_db"
 
 
 def read_config_file(path) -> dict:

@@ -18,7 +18,8 @@ independent of it.  evm-sweep demodulates the receiver-filtered copies of
 one frame, a row per cutoff, as one block: below the FFT threshold the db10
 analysis gives every row of a complex block the bits of a call on that row
 alone (see filterbank.analysis_step), so each cutoff's round-off-level EVM
-does not depend on the other cutoffs.
+does not depend on the other cutoffs.  Trial bits come from
+metrics.TrialBits, the raw PCG64 output of the same seeds.
 """
 
 from __future__ import annotations
@@ -223,14 +224,12 @@ def run_ber_fading(cfg: ExperimentConfig) -> ResultTable:
     results = {}
     for s_index, name in enumerate(SYSTEM_ORDER):
         chain = systems[name]
+        payloads = metrics.TrialBits([cfg.seed, s_index],
+                                     [len(ebn0_grid), n_frames], bits_per_frame)
         for e_index, ebn0 in enumerate(ebn0_grid):
             errors = 0
             for trials in metrics.trial_blocks(n_frames, chain.frame_length):
-                bits = np.stack([
-                    np.random.default_rng([cfg.seed, s_index, e_index, trial])
-                    .integers(0, 2, bits_per_frame)
-                    for trial in trials
-                ])
+                bits = payloads(e_index, trials)
                 frame = modem.ofdm_modulate(modem.map_bits(bits, spec), chain)
                 faded = channelmod.apply_multipath(frame, profile)
                 noisy = channelmod.awgn(

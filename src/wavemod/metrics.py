@@ -32,7 +32,8 @@ def papr_db(frame: BasebandFrame):
 
     A float for one frame; for a block (..., n) an array of one PAPR per row.
     """
-    power = np.abs(np.asarray(frame.samples)) ** 2
+    x = np.asarray(frame.samples)
+    power = x.real**2 + x.imag**2
     if power.size == 0 or not np.all(np.any(power > 0, axis=-1)):
         raise ZeroEnergy("PAPR undefined for an empty or silent frame")
     ratio = 10.0 * np.log10(np.max(power, axis=-1) / np.mean(power, axis=-1))
@@ -87,10 +88,9 @@ class CcdfCurve:
 # Monte-Carlo loops push blocks of trials through the chains; a block holds
 # about this many bytes of complex samples (8 frames of 2048 samples).
 # Per-trial seeding makes every output byte independent of the block size.
-# It stays at 256 KiB because twice this (16 frames) costs memory for an
-# unproven speed-up: on the papr-tx benchmark (2 vCPUs) it added 1.4 MB
-# peak RSS (+3.5%, most of that metric's 5% bound), and its frames/s gain
-# (+7 to +17% in 3 pairs) was too few pairs to tell from the machine's drift.
+# It stays at 256 KiB: on the papr-tx benchmark (2 vCPUs, 10 alternating
+# pairs) twice this (16 frames) ran 23% fewer frames/s (7764 -> 5988
+# median, slower in all 10) for 0.9 MB (+2.4%) more peak RSS.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -103,22 +103,129 @@ def trial_blocks(count: int, frame_length: int):
             for start in range(0, count, size)]
 
 
+# numpy's SeedSequence hash (bit_generator.pyx) and PCG64 seeding
+# (pcg64.c).  NEP 19 keeps both streams stable across numpy versions, while
+# Generator methods such as integers may change theirs.
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_SS_POOL = 4
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """PCG64 seed words of SeedSequence(row) for every row of (..., k)
+    uint32 entropy: (..., 4) uint64, equal to generate_state(4, uint64).
+    The hash constants advance the same way for every row, so each step is
+    one uint32 ufunc over all rows."""
+    hash_const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    k = entropy.shape[-1]
+    zero = np.zeros(entropy.shape[:-1], dtype=np.uint32)
+    pool = [hashmix(entropy[..., i] if i < k else zero) for i in range(_SS_POOL)]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_SS_POOL, k):
+        for dst in range(_SS_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[..., src]))
+    hash_const = _SS_INIT_B
+    state = np.empty(entropy.shape[:-1] + (8,), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % _SS_POOL] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state[..., i] = value ^ (value >> np.uint32(16))
+    return state.view(np.uint64)
+
+
+class TrialBits:
+    """0/1 payloads of a grid of seeded Monte-Carlo trials.
+
+    Trial `index` (a position in `shape`) gets exactly
+    default_rng([*prefix, *index]).integers(0, 2, n_bits).  When every
+    entropy word is below 2**32, the seeds of all trials are hashed at once
+    and each trial's bits are raw output of one reused PCG64 whose state is
+    set from its four seed words: integers(0, 2) is numpy's Lemire draw,
+    which returns bit 31 and then bit 63 of each 64-bit output.  Otherwise
+    every trial builds its own generator, as default_rng does.  Only the
+    seed words are kept, never the bits of all trials.
+    """
+
+    def __init__(self, prefix, shape, n_bits: int):
+        self._prefix = [int(word) for word in prefix]
+        self._n_bits = n_bits
+        self._words = None
+        shape = tuple(shape)
+        if all(0 <= word <= _MASK32 for word in self._prefix):
+            entropy = np.concatenate([
+                np.broadcast_to(np.array(self._prefix, dtype=np.uint32),
+                                shape + (len(self._prefix),)),
+                np.moveaxis(np.indices(shape, dtype=np.uint32), 0, -1),
+            ], axis=-1)
+            self._words = _seed_words(entropy)
+            self._bitgen = np.random.PCG64(0)
+
+    def __call__(self, *index) -> np.ndarray:
+        """Bits (len(trials), n_bits) of the trials at index: leading grid
+        positions, then a range of positions along the last axis."""
+        *lead, trials = index
+        if self._words is None:
+            return np.stack([
+                np.random.default_rng(self._prefix + lead + [trial])
+                .integers(0, 2, self._n_bits)
+                for trial in trials
+            ])
+        words = self._words[tuple(lead) + (slice(trials.start, trials.stop),)]
+        raw = np.empty((len(words), (self._n_bits + 1) // 2), dtype=np.uint64)
+        for row, (w0, w1, w2, w3) in enumerate(words.tolist()):
+            # pcg64_set_seed: inc = 2 * seq + 1, then two LCG steps from 0
+            inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
+            state = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & _MASK128
+            self._bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            raw[row] = self._bitgen.random_raw(raw.shape[1])
+        bits = np.empty(raw.shape + (2,), dtype=np.uint64)
+        np.right_shift(raw, 31, out=bits[..., 0])
+        bits[..., 0] &= np.uint64(1)
+        np.right_shift(raw, 63, out=bits[..., 1])
+        return bits.reshape(len(raw), -1)[:, :self._n_bits].view(np.int64)
+
+
 def papr_ccdf(cfg: OfdmConfig, spec: ConstellationSpec, n_symbols: int,
               thresholds_db, seed: int) -> CcdfCurve:
     """CCDF of per-symbol PAPR over seeded random payloads.
 
-    Trial k draws its bits from a generator seeded [seed, k], so the curve
-    does not depend on how the trials are split into blocks.
+    Trial k draws default_rng([seed, k]).integers(0, 2, n_bits) as its bits
+    (through :class:`TrialBits`, which takes them from raw PCG64 output), so
+    the curve does not depend on how the trials are split into blocks.
     """
     if n_symbols < 1:
         raise ConfigError("need at least one symbol")
     thresholds_db = np.asarray(thresholds_db, dtype=float)
     counts = np.zeros(len(thresholds_db), dtype=np.int64)
-    n_bits = cfg.n_subcarriers * spec.bits_per_symbol
+    payloads = TrialBits([seed], [n_symbols],
+                         cfg.n_subcarriers * spec.bits_per_symbol)
     for trials in trial_blocks(n_symbols, cfg.frame_length):
-        bits = np.stack([np.random.default_rng([seed, trial]).integers(0, 2, n_bits)
-                         for trial in trials])
-        values = papr_db(ofdm_modulate(map_bits(bits, spec), cfg))
+        values = papr_db(ofdm_modulate(map_bits(payloads(trials), spec), cfg))
         counts += np.sum(values[:, None] > thresholds_db, axis=0)
     return CcdfCurve(thresholds_db, counts / n_symbols, n_symbols,
                      exceed_counts=counts)

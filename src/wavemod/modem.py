@@ -10,6 +10,8 @@ modulate/demodulate roundtrips are exact:
   copy of the frame tail.  A DFT precoder turns the chain into the usual
   single-carrier uplink arrangement; the full-tree wavelet precoder plays
   the same role for the wavelet-packet chain (the synthesis inverts it).
+  On the chain's own pair and depth the two cancel, so that chain skips
+  both and sends the symbols themselves, oversampled.
 * Wavelet-packet multicarrier: optional precoder, inverse wavelet-packet
   transform (2**J = N subcarriers in natural tree order), oversampling by
   polyphase interpolation with an os-th-band windowed sinc (default) or by
@@ -326,10 +328,9 @@ def _fir_interpolate(x: np.ndarray, os: int) -> np.ndarray:
     """Polyphase interpolation, circular, rescaled to preserve energy."""
     if os == 1:
         return x.copy()
-    m = x.shape[-1] * os
-    up = np.zeros(x.shape[:-1] + (m,), dtype=complex)
-    up[..., ::os] = x
-    y = np.fft.ifft(np.fft.fft(up) * _fir_kernel_spectrum(m, os))
+    # a zero-stuffed row's spectrum is its own spectrum tiled os times
+    spectrum = np.tile(np.fft.fft(x), os)
+    y = np.fft.ifft(spectrum * _fir_kernel_spectrum(x.shape[-1] * os, os))
     return _rescale(y, x)
 
 
@@ -407,9 +408,33 @@ def _synthesize_body(vec: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
             return np.fft.ifft(tiled * weights, norm="ortho")
         return np.fft.ifft(_spectral_place(vec, m), norm="ortho")
     chips = iwpt(SubbandSet.from_flat(vec, WPT_FULL, cfg.levels), cfg.pair)
+    return _interpolate_chips(chips, cfg)
+
+
+def _interpolate_chips(chips: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+    """Wavelet-packet chips (..., n) -> oversampled body (..., n * os)."""
     if cfg.wpm_interp == INTERP_FFT:
-        return _spectral_zero_pad(chips, os)
-    return _fir_interpolate(chips, os)
+        return _spectral_zero_pad(chips, cfg.oversampling)
+    return _fir_interpolate(chips, cfg.oversampling)
+
+
+def _decimate_body(body: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+    """Inverse of :func:`_interpolate_chips`."""
+    if cfg.wpm_interp == INTERP_FFT:
+        return _spectral_decimate(body, cfg.oversampling, cfg.n_subcarriers)
+    return _fir_decimate(body, cfg.oversampling)
+
+
+def _precoder_cancels(cfg: OfdmConfig) -> bool:
+    """True when the precoder is the full packet analysis on the chain's
+    own pair and depth.  The packet synthesis then inverts it (perfect
+    reconstruction), so the chain sends the symbols themselves as chips.
+    The pair is compared by identity: a dataclass holding arrays has no
+    usable ==."""
+    return (cfg.transform == WAVELET_PACKET
+            and cfg.precoder == PRECODER_WPT
+            and (cfg.precoder_pair is None or cfg.precoder_pair is cfg.pair)
+            and cfg.effective_precoder_levels == cfg.levels)
 
 
 def _fourier_bins(spec: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
@@ -426,14 +451,9 @@ def _fourier_bins(spec: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
 
 def _analyze_body(body: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     """Oversampled body (..., m) -> precoded symbol vector(s)."""
-    n, os = cfg.n_subcarriers, cfg.oversampling
     if cfg.transform == FOURIER:
         return _fourier_bins(np.fft.fft(body, norm="ortho"), cfg)
-    if cfg.wpm_interp == INTERP_FFT:
-        chips = _spectral_decimate(body, os, n)
-    else:
-        chips = _fir_decimate(body, os)
-    return wpt(chips, cfg.pair, cfg.levels).coeffs
+    return wpt(_decimate_body(body, cfg), cfg.pair, cfg.levels).coeffs
 
 
 def ofdm_modulate(symbols, cfg: OfdmConfig) -> BasebandFrame:
@@ -442,7 +462,10 @@ def ofdm_modulate(symbols, cfg: OfdmConfig) -> BasebandFrame:
     symbols is (n_subcarriers,) for one frame or (..., n_subcarriers) for a
     block of frames; each row gives the same samples as it would alone.
     The cyclic prefix (Fourier chain only) is a copy of the frame tail, so
-    the CP-stripped body carries exactly the input symbol energy.
+    the CP-stripped body carries exactly the input symbol energy.  A
+    wavelet-packet precoder on the chain's own pair and depth cancels
+    against the packet synthesis, so that chain skips both and oversamples
+    the symbols directly (equal to the composed chain within round-off).
     """
     symbols = np.asarray(symbols, dtype=complex)
     count = symbols.shape[-1] if symbols.ndim else 1
@@ -450,7 +473,10 @@ def ofdm_modulate(symbols, cfg: OfdmConfig) -> BasebandFrame:
         raise LengthMismatch(
             f"expected {cfg.n_subcarriers} symbols, got {count}"
         )
-    body = _synthesize_body(_precode(symbols, cfg), cfg)
+    if _precoder_cancels(cfg):
+        body = _interpolate_chips(symbols, cfg)
+    else:
+        body = _synthesize_body(_precode(symbols, cfg), cfg)
     cp = cfg.cp_length
     samples = np.concatenate([body[..., -cp:], body], axis=-1) if cp else body
     return BasebandFrame(samples=samples, sample_rate=float(cfg.body_length),
@@ -467,6 +493,8 @@ def ofdm_demodulate(frame: BasebandFrame, cfg: OfdmConfig) -> np.ndarray:
             f"config needs {cfg.frame_length}"
         )
     body = samples[..., cfg.cp_length:cfg.cp_length + cfg.body_length]
+    if _precoder_cancels(cfg):
+        return _decimate_body(body, cfg)
     return _unprecode(_analyze_body(body, cfg), cfg)
 
 

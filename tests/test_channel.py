@@ -87,6 +87,11 @@ class TestAwgn:
         with pytest.raises(ConfigError):
             ch.AwgnSpec(snr_db=1.0, reference="snr-per-baud")
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
+    def test_nan_and_infinite_noise_rejected(self, snr_db):
+        with pytest.raises(ConfigError):
+            ch.AwgnSpec(snr_db=snr_db)
+
 
 class TestMultipath:
     def test_single_unit_tap_is_identity(self):
@@ -229,6 +234,16 @@ class TestEqualize:
         cfg = modem.OfdmConfig(128, oversampling=1, cp_fraction=1 / 8)
         with pytest.raises(LengthMismatch):
             ch.equalize(frame_of(np.ones(64)), ch.MultipathSpec.identity(), cfg)
+
+    def test_cyclic_prefix_must_cover_channel(self):
+        spec = ch.MultipathSpec(tap_delays=[0, 5], tap_gains=[1.0, 0.3])
+        short = modem.OfdmConfig(64, oversampling=1, cp_fraction=4 / 64)
+        frame = ch.apply_multipath(modem.ofdm_modulate(np.ones(64), short), spec)
+        with pytest.raises(ConfigError):
+            ch.equalize(frame, spec, short)
+        covering = modem.OfdmConfig(64, oversampling=1, cp_fraction=5 / 64)
+        frame = ch.apply_multipath(modem.ofdm_modulate(np.ones(64), covering), spec)
+        assert np.max(np.abs(ch.equalize(frame, spec, covering) - 1.0)) < 1e-9
 
 
 def _block_cases():

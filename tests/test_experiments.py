@@ -75,6 +75,9 @@ class TestConfigParsing:
         assert configio.parse_float_list("inf") == [float("inf")]
         with pytest.raises(ConfigError):
             configio.parse_float_list("1:2:0")
+        for text in ("nan", "1, -inf", "1e999", "-Infinity"):
+            with pytest.raises(ConfigError):
+                configio.parse_float_list(text)
 
     def test_config_hash_ignores_output_path(self):
         a = cfg_with(output_path="a.csv")
@@ -281,6 +284,10 @@ class TestCli:
         (["evm-sweep"], "evm.cutoffs ="),
         (["ber-fading"], "ber.ebn0_db ="),
         (["papr-ccdf"], "papr.thresholds_db = 2:1:0.5"),
+        (["papr-ccdf"], "papr.thresholds_db = nan"),
+        (["evm-sweep"], "evm.cutoffs = nan"),
+        (["ber-fading"], "ber.ebn0_db = -inf"),
+        (["ber-fading", "--trials", "1"], "modem.cp_fraction = 0"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, args, line):
         if line is not None:
@@ -291,6 +298,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("wavemod: config error:")
         assert err.count("\n") == 1
+
+    def test_unexpected_exception_is_one_line_exit_3(self, monkeypatch, capsys):
+        def broken(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(experiments.RUNNERS, "se-table", broken)
+        assert cli.main(["se-table"]) == 3
+        assert capsys.readouterr().err == "wavemod: internal error: RuntimeError: boom\n"
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert cli.main(["se-table", "--config", str(tmp_path / "nope.cfg")]) == 2

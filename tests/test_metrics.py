@@ -111,6 +111,60 @@ class TestPaprCcdf:
             assert abs(pa - pb) < 4.0 * sigma
 
 
+def _reference_bits(rows, n):
+    return np.stack([np.random.default_rng(row).integers(0, 2, n) for row in rows])
+
+
+class TestTrialBits:
+    """The raw-PCG64 bits equal numpy's Generator draw bit for bit."""
+
+    def test_random_seeds_and_lengths(self):
+        rng = np.random.default_rng(2011)
+        for _ in range(60):
+            seed = int(rng.integers(0, 2**32))
+            n = int(rng.integers(1, 2100))  # odd lengths included
+            start = int(rng.integers(0, 5000))
+            payloads = metrics.TrialBits([seed], [start + 3], n)
+            trials = range(start, start + 3)
+            got = payloads(trials)
+            assert got.dtype == np.int64 and got.shape == (3, n)
+            assert np.array_equal(got, _reference_bits([[seed, t] for t in trials], n))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1024])
+    def test_trial_zero_and_odd_lengths(self, n):
+        payloads = metrics.TrialBits([0], [4], n)
+        assert np.array_equal(payloads(range(0, 1)), _reference_bits([[0, 0]], n))
+        assert np.array_equal(payloads(range(1, 4)),
+                              _reference_bits([[0, t] for t in range(1, 4)], n))
+
+    def test_ber_entropy_grid(self):
+        """[seed, system, point, trial]: a (points, trials) grid per system."""
+        seed, system = 20110223, 3
+        payloads = metrics.TrialBits([seed, system], [9, 50], 1024)
+        for point, trials in ((0, range(0, 7)), (8, range(49, 50)), (4, range(21, 28))):
+            rows = [[seed, system, point, t] for t in trials]
+            assert np.array_equal(payloads(point, trials), _reference_bits(rows, 1024))
+
+    @pytest.mark.parametrize("prefix", [[2**32], [4800000000], [7, 2**40]])
+    def test_fallback_for_wide_words(self, prefix):
+        payloads = metrics.TrialBits(prefix, [5], 33)
+        rows = [prefix + [t] for t in range(1, 5)]
+        assert np.array_equal(payloads(range(1, 5)), _reference_bits(rows, 33))
+
+    def test_papr_ccdf_wide_seed_matches_per_trial_reference(self):
+        cfg = modem.OfdmConfig(64)
+        thresholds = np.array([4.0, 6.0, 8.0])
+        seed = 600000000 * 8 + 1  # the papr-ccdf seed of system 1 at --seed 600000000
+        curve = metrics.papr_ccdf(cfg, QPSK, 40, thresholds, seed=seed)
+        values = np.array([
+            metrics.papr_db(modem.ofdm_modulate(
+                modem.map_bits(_reference_bits([[seed, t]], 128)[0], QPSK), cfg))
+            for t in range(40)
+        ])
+        expected = np.sum(values[:, None] > thresholds, axis=0)
+        assert np.array_equal(curve.exceed_counts, expected)
+
+
 class TestEvm:
     def test_perfect_reception(self):
         s = QPSK.alphabet

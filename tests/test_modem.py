@@ -199,6 +199,17 @@ class TestWaveletPacketChain:
             np.sum(np.abs(frame.samples) ** 2) - np.sum(np.abs(symbols) ** 2)
         ) < 1e-9
 
+    def test_fir_interpolation_equals_zero_stuffed_filter(self):
+        """The tiled spectrum equals the FFT of the zero-stuffed row."""
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((3, 512)) + 1j * rng.standard_normal((3, 512))
+        for os_ in (2, 4):
+            up = np.zeros((3, 512 * os_), dtype=complex)
+            up[:, ::os_] = x
+            kernel = modem._fir_kernel_spectrum(512 * os_, os_)
+            expected = modem._rescale(np.fft.ifft(np.fft.fft(up) * kernel), x)
+            assert np.max(np.abs(modem._fir_interpolate(x, os_) - expected)) < 1e-13
+
     def test_fir_kernel_spectrum_is_cached_and_read_only(self):
         spectrum = modem._fir_kernel_spectrum(2048, 4)
         assert modem._fir_kernel_spectrum(2048, 4) is spectrum
@@ -249,6 +260,57 @@ class TestPrecoders:
         symbols = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         frame = modem.ofdm_modulate(symbols, cfg)
         assert np.max(np.abs(frame.samples - symbols)) < 1e-9
+
+    @pytest.mark.parametrize("interp", [modem.INTERP_FIR, modem.INTERP_FFT])
+    @pytest.mark.parametrize("name", ["haar", "db2", "db10", "sym8", "coif3", "db20"])
+    def test_cancelling_precoder_is_skipped(self, name, interp):
+        """sc_wpm (wpt precoder, own pair and depth) equals the composed
+        chain within round-off."""
+        cfg = modem.OfdmConfig(
+            512, modem.WAVELET_PACKET, fb.filter_by_name(name), 9,
+            oversampling=4, precoder=modem.PRECODER_WPT, wpm_interp=interp,
+        )
+        rng = np.random.default_rng(17)
+        spec = modem.constellation("qpsk")
+        symbols = modem.map_bits(rng.integers(0, 2, (3, 1024)), spec)
+        samples = modem.ofdm_modulate(symbols, cfg).samples
+        composed = modem._synthesize_body(modem._precode(symbols, cfg), cfg)
+        assert np.max(np.abs(samples - composed)) < 1e-13
+        estimate = modem.ofdm_demodulate(modem.BasebandFrame(samples, 1.0), cfg)
+        composed = modem._unprecode(modem._analyze_body(samples, cfg), cfg)
+        assert np.max(np.abs(estimate - composed)) < 1e-13
+
+    @pytest.mark.parametrize("precoder, foreign_pair, levels, expected", [
+        (modem.PRECODER_WPT, False, None, 0),
+        (modem.PRECODER_DWT, False, None, 1),  # the chain's own wpt and iwpt
+        (modem.PRECODER_WPT, True, None, 2),   # precoder and chain transforms
+        (modem.PRECODER_WPT, False, 3, 2),
+    ])
+    def test_only_the_cancelling_pair_skips_the_transforms(
+            self, monkeypatch, precoder, foreign_pair, levels, expected):
+        """A dwt precoder, a precoder pair that is another object (even an
+        equal one) or another depth still runs the packet transforms;
+        expected counts the wpt and the iwpt calls of one round trip."""
+        calls = {"wpt": 0, "iwpt": 0}
+
+        def counted(name):
+            inner = getattr(modem, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(modem, "wpt", counted("wpt"))
+        monkeypatch.setattr(modem, "iwpt", counted("iwpt"))
+        pair = fb.make_filter("haar") if foreign_pair else None
+        cfg = modem.OfdmConfig(64, modem.WAVELET_PACKET, HAAR, 6,
+                               precoder=precoder, precoder_pair=pair,
+                               precoder_levels=levels)
+        symbols = np.exp(2j * np.pi * np.arange(64) / 7)
+        frame = modem.ofdm_modulate(symbols, cfg)
+        assert np.max(np.abs(modem.ofdm_demodulate(frame, cfg) - symbols)) < 1e-9
+        assert calls == {"wpt": expected, "iwpt": expected}
 
     def test_fourier_with_dwt_precoder(self):
         cfg = modem.OfdmConfig(
