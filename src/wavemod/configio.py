@@ -136,9 +136,9 @@ class ExperimentConfig:
             value = getattr(self, _KEY_MAP[key][0])
             if value < minimum:
                 raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-        for key in _NONEMPTY_LISTS:
+        for key in _FLOAT_LISTS:
             values = parse_float_list(getattr(self, _KEY_MAP[key][0]))
-            if not values:
+            if key in _NONEMPTY_LISTS and not values:
                 raise ConfigError(f"{key} must hold at least one value")
             if key != _INF_LIST and math.inf in values:
                 raise ConfigError(f"{key} must be finite (only {_INF_LIST} takes inf)")
@@ -188,6 +188,10 @@ _MINIMUMS = {
     "modem.n_subcarriers": 1,
     "modgauss.grid_points": 1,
 }
+
+# Every key holding a number list (read with parse_float_list).
+_FLOAT_LISTS = ("papr.thresholds_db", "evm.cutoffs", "ber.ebn0_db",
+                "modgauss.sigma_t", "modgauss.srrc_rolloffs")
 
 # Number lists that are a study's table rows: empty, the study would write
 # a CSV holding only its header.

@@ -105,7 +105,11 @@ def trial_blocks(count: int, frame_length: int):
 
 # numpy's SeedSequence hash (bit_generator.pyx) and PCG64 seeding
 # (pcg64.c).  NEP 19 keeps both streams stable across numpy versions, while
-# Generator methods such as integers may change theirs.
+# Generator methods such as integers may change theirs.  The hash runs
+# vectorised over all trials: on the papr-tx benchmark (2 vCPUs, 10 rotated
+# runs) numpy's own SeedSequence(row).generate_state per trial, with the
+# same reused PCG64, ran 20% fewer frames/s (6505 -> 5194 median, slower in
+# all 10), and a new PCG64(row) per trial 10% fewer (5861, slower in 9).
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
@@ -153,43 +157,48 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return state.view(np.uint64)
 
 
+def _entropy_words(value: int) -> list[int]:
+    """SeedSequence's split of a nonnegative int into little-endian uint32
+    words (0 is one word)."""
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
 class TrialBits:
     """0/1 payloads of a grid of seeded Monte-Carlo trials.
 
     Trial `index` (a position in `shape`) gets exactly
-    default_rng([*prefix, *index]).integers(0, 2, n_bits).  When every
-    entropy word is below 2**32, the seeds of all trials are hashed at once
-    and each trial's bits are raw output of one reused PCG64 whose state is
-    set from its four seed words: integers(0, 2) is numpy's Lemire draw,
-    which returns bit 31 and then bit 63 of each 64-bit output.  Otherwise
-    every trial builds its own generator, as default_rng does.  Only the
-    seed words are kept, never the bits of all trials.
+    default_rng([*prefix, *index]).integers(0, 2, n_bits).  The seeds of
+    all trials are hashed at once (each prefix int split into its uint32
+    words, as SeedSequence does) and each trial's bits are raw output of
+    one reused PCG64 whose state is set from its four seed words:
+    integers(0, 2) is numpy's Lemire draw, which returns bit 31 and then
+    bit 63 of each 64-bit output.  Only the seed words are kept, never the
+    bits of all trials.  A negative prefix raises ValueError, as in
+    default_rng.
     """
 
     def __init__(self, prefix, shape, n_bits: int):
-        self._prefix = [int(word) for word in prefix]
-        self._n_bits = n_bits
-        self._words = None
+        prefix = [word for value in prefix for word in _entropy_words(int(value))]
         shape = tuple(shape)
-        if all(0 <= word <= _MASK32 for word in self._prefix):
-            entropy = np.concatenate([
-                np.broadcast_to(np.array(self._prefix, dtype=np.uint32),
-                                shape + (len(self._prefix),)),
-                np.moveaxis(np.indices(shape, dtype=np.uint32), 0, -1),
-            ], axis=-1)
-            self._words = _seed_words(entropy)
-            self._bitgen = np.random.PCG64(0)
+        entropy = np.concatenate([
+            np.broadcast_to(np.array(prefix, dtype=np.uint32),
+                            shape + (len(prefix),)),
+            np.moveaxis(np.indices(shape, dtype=np.uint32), 0, -1),
+        ], axis=-1)
+        self._words = _seed_words(entropy)
+        self._bitgen = np.random.PCG64(0)
+        self._n_bits = n_bits
 
     def __call__(self, *index) -> np.ndarray:
         """Bits (len(trials), n_bits) of the trials at index: leading grid
         positions, then a range of positions along the last axis."""
         *lead, trials = index
-        if self._words is None:
-            return np.stack([
-                np.random.default_rng(self._prefix + lead + [trial])
-                .integers(0, 2, self._n_bits)
-                for trial in trials
-            ])
         words = self._words[tuple(lead) + (slice(trials.start, trials.stop),)]
         raw = np.empty((len(words), (self._n_bits + 1) // 2), dtype=np.uint64)
         for row, (w0, w1, w2, w3) in enumerate(words.tolist()):

@@ -10,8 +10,9 @@ modulate/demodulate roundtrips are exact:
   copy of the frame tail.  A DFT precoder turns the chain into the usual
   single-carrier uplink arrangement; the full-tree wavelet precoder plays
   the same role for the wavelet-packet chain (the synthesis inverts it).
-  On the chain's own pair and depth the two cancel, so that chain skips
-  both and sends the symbols themselves, oversampled.
+  On the chain's own pair and depth the two cancel when that pair is
+  orthogonal, so with a shipped pair (taps equal to make_filter's) the
+  chain skips both and sends the symbols themselves, oversampled.
 * Wavelet-packet multicarrier: optional precoder, inverse wavelet-packet
   transform (2**J = N subcarriers in natural tree order), oversampling by
   polyphase interpolation with an os-th-band windowed sinc (default) or by
@@ -39,6 +40,7 @@ from .errors import (
     LengthMismatch,
     PeriodTooShort,
     StreamPulseCountMismatch,
+    UnsupportedFamily,
 )
 from .filterbank import (
     DWT_PRUNED,
@@ -46,6 +48,7 @@ from .filterbank import (
     SubbandSet,
     WaveletFilterPair,
     dwt,
+    filter_by_name,
     idwt,
     iwpt,
     wpt,
@@ -425,16 +428,33 @@ def _decimate_body(body: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     return _fir_decimate(body, cfg.oversampling)
 
 
+@functools.lru_cache(maxsize=64)
+def _shipped_taps(family: str) -> tuple[bytes, bytes] | None:
+    """Lowpass and highpass taps (as bytes) of the shipped pair named
+    family, or None when no shipped pair has that name."""
+    try:
+        pair = filter_by_name(family)
+    except UnsupportedFamily:
+        return None
+    return pair.h.tobytes(), pair.g.tobytes()
+
+
 def _precoder_cancels(cfg: OfdmConfig) -> bool:
     """True when the precoder is the full packet analysis on the chain's
-    own pair and depth.  The packet synthesis then inverts it (perfect
-    reconstruction), so the chain sends the symbols themselves as chips.
-    The pair is compared by identity: a dataclass holding arrays has no
-    usable ==."""
-    return (cfg.transform == WAVELET_PACKET
+    own pair and depth, and that pair is a shipped orthogonal one (its taps
+    equal make_filter's for its family).  The packet synthesis then
+    inverts the precoder (perfect reconstruction), so the chain sends the
+    symbols themselves as chips.  Any other pair, such as a perturbed one
+    built for a sensitivity study, need not reconstruct perfectly and runs
+    both transforms.  The precoder pair is compared by identity: a
+    dataclass holding arrays has no usable ==."""
+    if not (cfg.transform == WAVELET_PACKET
             and cfg.precoder == PRECODER_WPT
             and (cfg.precoder_pair is None or cfg.precoder_pair is cfg.pair)
-            and cfg.effective_precoder_levels == cfg.levels)
+            and cfg.effective_precoder_levels == cfg.levels):
+        return False
+    pair = cfg.pair
+    return _shipped_taps(pair.family) == (pair.h.tobytes(), pair.g.tobytes())
 
 
 def _fourier_bins(spec: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
@@ -464,8 +484,11 @@ def ofdm_modulate(symbols, cfg: OfdmConfig) -> BasebandFrame:
     The cyclic prefix (Fourier chain only) is a copy of the frame tail, so
     the CP-stripped body carries exactly the input symbol energy.  A
     wavelet-packet precoder on the chain's own pair and depth cancels
-    against the packet synthesis, so that chain skips both and oversamples
-    the symbols directly (equal to the composed chain within round-off).
+    against the packet synthesis when the pair is orthogonal, so with a
+    shipped pair (taps equal to make_filter's for its family) the chain
+    skips both and oversamples the symbols directly (equal to the composed
+    chain within round-off).  Any other pair, e.g. a perturbed one, runs
+    both transforms.
     """
     symbols = np.asarray(symbols, dtype=complex)
     count = symbols.shape[-1] if symbols.ndim else 1

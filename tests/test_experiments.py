@@ -79,6 +79,13 @@ class TestConfigParsing:
             with pytest.raises(ConfigError):
                 configio.parse_float_list(text)
 
+    @pytest.mark.parametrize("key", ["papr.thresholds_db", "evm.cutoffs",
+                                     "modgauss.sigma_t", "modgauss.srrc_rolloffs"])
+    def test_only_ebn0_list_takes_inf(self, key):
+        with pytest.raises(ConfigError, match="must be finite"):
+            configio.config_from_mapping({key: "0.5,inf"})
+        assert configio.config_from_mapping({"ber.ebn0_db": "0,inf"}).ber_ebn0_db == "0,inf"
+
     def test_config_hash_ignores_output_path(self):
         a = cfg_with(output_path="a.csv")
         b = cfg_with(output_path="b.csv")

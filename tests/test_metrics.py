@@ -145,11 +145,16 @@ class TestTrialBits:
             rows = [[seed, system, point, t] for t in trials]
             assert np.array_equal(payloads(point, trials), _reference_bits(rows, 1024))
 
-    @pytest.mark.parametrize("prefix", [[2**32], [4800000000], [7, 2**40]])
-    def test_fallback_for_wide_words(self, prefix):
+    @pytest.mark.parametrize("prefix", [[2**32], [4800000000], [7, 2**40], [2**128 + 3, 0]])
+    def test_wide_seed_words(self, prefix):
+        """Seeds of 2**32 or more span several SeedSequence entropy words."""
         payloads = metrics.TrialBits(prefix, [5], 33)
         rows = [prefix + [t] for t in range(1, 5)]
         assert np.array_equal(payloads(range(1, 5)), _reference_bits(rows, 33))
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError):
+            metrics.TrialBits([-1], [2], 8)
 
     def test_papr_ccdf_wide_seed_matches_per_trial_reference(self):
         cfg = modem.OfdmConfig(64)

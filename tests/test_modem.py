@@ -312,6 +312,24 @@ class TestPrecoders:
         assert np.max(np.abs(modem.ofdm_demodulate(frame, cfg) - symbols)) < 1e-9
         assert calls == {"wpt": expected, "iwpt": expected}
 
+    @pytest.mark.parametrize("family", ["haar", "perturbed"])
+    def test_perturbed_pair_runs_the_composed_chain(self, family):
+        """A hand-built pair need not reconstruct perfectly, so its precoder
+        and synthesis both run, even under a shipped family name."""
+        h = HAAR.h.copy()
+        h[0] += 0.01
+        pair = fb.WaveletFilterPair(h=h, g=HAAR.g, family=family)
+        cfg = modem.OfdmConfig(64, modem.WAVELET_PACKET, pair, 6,
+                               oversampling=2, precoder=modem.PRECODER_WPT)
+        symbols = np.exp(2j * np.pi * np.arange(64) / 7)
+        samples = modem.ofdm_modulate(symbols, cfg).samples
+        composed = modem._synthesize_body(modem._precode(symbols, cfg), cfg)
+        assert np.array_equal(samples, composed)
+        assert np.max(np.abs(samples - modem._interpolate_chips(symbols, cfg))) > 1e-3
+        estimate = modem.ofdm_demodulate(modem.BasebandFrame(samples, 1.0), cfg)
+        composed = modem._unprecode(modem._analyze_body(samples, cfg), cfg)
+        assert np.array_equal(estimate, composed)
+
     def test_fourier_with_dwt_precoder(self):
         cfg = modem.OfdmConfig(
             256, precoder=modem.PRECODER_DWT, precoder_pair=HAAR,
