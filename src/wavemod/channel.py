@@ -203,6 +203,16 @@ def apply_multipath(frame: BasebandFrame, spec: MultipathSpec) -> BasebandFrame:
     return BasebandFrame(out, frame.sample_rate, frame.meta)
 
 
+def check_cyclic_prefix(channel: MultipathSpec, cfg: OfdmConfig) -> None:
+    """Raise ConfigError when cfg is a Fourier chain whose cyclic prefix is
+    shorter than the channel memory (max_delay samples)."""
+    if cfg.transform == FOURIER and cfg.cp_length < channel.max_delay:
+        raise ConfigError(
+            f"cyclic prefix ({cfg.cp_length} samples) shorter than the "
+            f"channel memory ({channel.max_delay} samples)"
+        )
+
+
 def equalize(frame: BasebandFrame, channel: MultipathSpec, cfg: OfdmConfig,
              eps: float = 1e-6) -> np.ndarray:
     """Perfect-CSI zero-forcing equalization, then demodulation to symbols.
@@ -238,11 +248,7 @@ def equalize(frame: BasebandFrame, channel: MultipathSpec, cfg: OfdmConfig,
             raise SingularChannel(
                 "channel response below eps on an occupied subcarrier"
             )
-        if cfg.cp_length < channel.max_delay:
-            raise ConfigError(
-                f"cyclic prefix ({cfg.cp_length} samples) shorter than the "
-                f"channel memory ({channel.max_delay} samples)"
-            )
+        check_cyclic_prefix(channel, cfg)
         spectrum = np.fft.fft(body, norm="ortho")
         spectrum[..., occupied] /= response[occupied]
         return _unprecode(modem._fourier_bins(spectrum, cfg), cfg)

@@ -218,6 +218,8 @@ def run_ber_fading(cfg: ExperimentConfig) -> ResultTable:
             systems[name], wpm_interp=cfg.ber_wpm_interp
         )
     profile = _channel_profile(cfg)
+    for chain in systems.values():
+        channelmod.check_cyclic_prefix(profile, chain)
     samples_per_bit = cfg.modem_oversampling / spec.bits_per_symbol
     bits_per_frame = cfg.modem_n_subcarriers * spec.bits_per_symbol
 

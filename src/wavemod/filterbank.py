@@ -227,41 +227,50 @@ def analysis_step(x, pair: WaveletFilterPair):
         return a, d
     idx = _gather_index(n, pair.length)
     frames = x.reshape((-1,) + (x.shape[-2:] if x.ndim > 1 else (1, n)))
+    out_shape = x.shape[:-1] + (n // 2,)
+    if n > 2 and frames.shape[1] == 1:
+        a, d = _one_band_gemv(frames[:, 0, :], idx, (pair.h, pair.g))
+        return a.reshape(out_shape), d.reshape(out_shape)
     a = np.empty(frames.shape[:-1] + (n // 2,), dtype=np.result_type(x, pair.h))
     d = np.empty_like(a)
-    if n > 2 and frames.shape[1] == 1:
-        _one_band_gemv(frames[:, 0, :], idx, pair, a.reshape(-1), d.reshape(-1))
-    else:
-        per_gather = max(1, _GEMV_SLICE_MACS // (frames.shape[1] * idx.size))
-        for f in range(0, len(frames), per_gather):
-            # (frames, bands, n/2, L) windows with each frame's bands
-            # innermost, the layout of frame[..., idx]: matmul then runs
-            # numpy's in-order loop, or a dot per band when n == 2
-            block = frames[f:f + per_gather].swapaxes(-1, -2)
-            windows = np.take(block, idx, axis=-2).transpose(0, 3, 1, 2)
-            a[f:f + per_gather] = windows @ pair.h
-            d[f:f + per_gather] = windows @ pair.g
-    out_shape = x.shape[:-1] + (n // 2,)
+    per_gather = max(1, _GEMV_SLICE_MACS // (frames.shape[1] * idx.size))
+    for f in range(0, len(frames), per_gather):
+        # (frames, bands, n/2, L) windows with each frame's bands
+        # innermost, the layout of frame[..., idx]: matmul then runs
+        # numpy's in-order loop, or a dot per band when n == 2
+        block = frames[f:f + per_gather].swapaxes(-1, -2)
+        windows = np.take(block, idx, axis=-2).transpose(0, 3, 1, 2)
+        a[f:f + per_gather] = windows @ pair.h
+        d[f:f + per_gather] = windows @ pair.g
     return a.reshape(out_shape), d.reshape(out_shape)
 
 
-def _one_band_gemv(rows, idx, pair: WaveletFilterPair, a, d):
-    """Fill the flat outputs a, d of (frames, n) one-band rows with 2-D
-    gemvs of at most ``_GEMV_SLICE_MACS`` multiply-adds (8 rows for filters
-    longer than 256 taps) and at least two rows.  Windows are gathered one
+def _one_band_gemv(rows, idx, taps):
+    """``windows @ t`` for each t in taps, as flat arrays, where windows are
+    the (frames * len(idx), width) gathered windows ``rows[:, idx]`` of
+    (frames, samples) one-band rows.
+
+    Runs 2-D gemvs of at most ``_GEMV_SLICE_MACS`` multiply-adds (8 rows
+    for windows wider than 256) over whole groups of 4 rows and at least
+    two rows; a frame of one window gets a dot.  Windows are gathered one
     frame at a time, or as many whole frames at a time as one gemv takes."""
-    half, taps = idx.shape
-    step = max(8, (_GEMV_SLICE_MACS // taps) & ~3)  # whole groups of 4 rows
-    per_gather = max(1, step // half)
+    half, width = idx.shape
+    dtype = np.result_type(rows, *taps)
+    outs = [np.empty(len(rows) * half, dtype=dtype) for _ in taps]
+    step = max(8, (_GEMV_SLICE_MACS // width) & ~3)  # whole groups of 4 rows
+    # a frame of one window is gathered alone: numpy sends its one-row
+    # product to dot, as in a call on that frame
+    per_gather = max(1, step // half) if half > 1 else 1
     for f in range(0, len(rows), per_gather):
-        windows = np.take(rows[f:f + per_gather], idx, axis=-1).reshape(-1, taps)
+        windows = np.take(rows[f:f + per_gather], idx, axis=-1).reshape(-1, width)
         bounds = list(range(0, len(windows), step))
-        if len(windows) - bounds[-1] == 1:
+        if len(windows) - bounds[-1] == 1 and len(bounds) > 1:
             bounds[-1] -= 4  # (step - 4, 5) rows instead of a one-row gemv
         offset = f * half
         for lo, hi in zip(bounds, bounds[1:] + [len(windows)]):
-            a[offset + lo:offset + hi] = windows[lo:hi] @ pair.h
-            d[offset + lo:offset + hi] = windows[lo:hi] @ pair.g
+            for out, t in zip(outs, taps):
+                out[offset + lo:offset + hi] = windows[lo:hi] @ t
+    return outs
 
 
 def synthesis_step(a, d, pair: WaveletFilterPair):
@@ -271,6 +280,12 @@ def synthesis_step(a, d, pair: WaveletFilterPair):
     convolutions of the subbands with the even/odd filter taps,
 
         x[2m + r] = sum_p h[2p + r] a[m - p] + g[2p + r] d[m - p].
+
+    Frames are laid out as in :func:`analysis_step`.  Longer pairs gather
+    windows of L/2 subband samples: one band (a 1-D input, or a frame stack
+    of one band) runs the sliced gemvs of the analysis one-band path, so
+    every frame of a complex block below the FFT threshold gives the bits
+    of a call on that frame alone; stacked bands take one matmul.
     """
     a = np.asarray(a)
     d = np.asarray(d)
@@ -297,10 +312,18 @@ def synthesis_step(a, d, pair: WaveletFilterPair):
         out[..., 1::2] = a * h[1] + d * g[1]
         return out
     idx = _synthesis_index(half, pair.length // 2)
-    win_a = a[..., idx]
-    win_d = d[..., idx]
-    out[..., 0::2] = win_a @ pair.h[0::2] + win_d @ pair.g[0::2]
-    out[..., 1::2] = win_a @ pair.h[1::2] + win_d @ pair.g[1::2]
+    if a.ndim > 1 and a.shape[-2] > 1:
+        win_a = a[..., idx]
+        win_d = d[..., idx]
+        out[..., 0::2] = win_a @ pair.h[0::2] + win_d @ pair.g[0::2]
+        out[..., 1::2] = win_a @ pair.h[1::2] + win_d @ pair.g[1::2]
+        return out
+    even_a, odd_a = _one_band_gemv(a.reshape(-1, half), idx,
+                                   (pair.h[0::2], pair.h[1::2]))
+    even_d, odd_d = _one_band_gemv(d.reshape(-1, half), idx,
+                                   (pair.g[0::2], pair.g[1::2]))
+    out[..., 0::2] = (even_a + even_d).reshape(a.shape)
+    out[..., 1::2] = (odd_a + odd_d).reshape(a.shape)
     return out
 
 
@@ -374,9 +397,10 @@ def idwt(subbands: SubbandSet, pair: WaveletFilterPair):
     if subbands.tree_kind != DWT_PRUNED:
         raise ConfigError("idwt expects a DWT-pruned subband set")
     approx, *details = subbands.bands
+    approx = approx[..., None, :]  # one band per frame, the path of a row call
     for d in details:
-        approx = synthesis_step(approx, d, pair)
-    return approx
+        approx = synthesis_step(approx, d[..., None, :], pair)
+    return approx[..., 0, :]
 
 
 def wpt(x, pair: WaveletFilterPair, levels: int) -> SubbandSet:

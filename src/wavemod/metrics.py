@@ -269,12 +269,11 @@ def ber(tx_bits, rx_bits) -> float:
 class WelchMethod:
     segment: int = 1024
     overlap: float = 0.5
-    window: str = "hann"
 
 
 @dataclass(frozen=True)
 class PeriodogramMethod:
-    window: str = "boxcar"
+    pass
 
 
 @dataclass
@@ -297,15 +296,17 @@ class PsdEstimate:
 
 
 def psd(frame: BasebandFrame, method=None) -> PsdEstimate:
-    """Welch (default) or periodogram PSD of a frame, window-gain corrected.
+    """Averaged-periodogram PSD of a frame (Welch, IEEE Trans. Audio
+    Electroacoust. 15(2), 1967): the mean of |fft(segment * window)|**2
+    over the frame's segments, divided by fs * sum(window**2).
 
-    The two-sided density integrates to the frame's average power within
-    estimator tolerance.
+    WelchMethod (the default) cuts segments of ``segment`` samples,
+    ``segment - int(overlap * segment)`` apart, under a periodic Hann
+    window 0.5 - 0.5 cos(2 pi k / segment).  PeriodogramMethod takes the
+    whole frame as one boxcar segment.  The two-sided density, on the
+    ascending fftfreq grid of one segment, integrates to the frame's
+    average power within estimator tolerance.
     """
-    # imported here: scipy.signal takes about a second to load and no
-    # study calls psd()
-    from scipy import signal as _signal
-
     x = np.asarray(frame.samples)
     fs = float(frame.sample_rate)
     if method is None:
@@ -315,39 +316,33 @@ def psd(frame: BasebandFrame, method=None) -> PsdEstimate:
             raise FrameTooShort(
                 f"frame ({len(x)}) shorter than Welch segment ({method.segment})"
             )
-        freqs, pxx = _signal.welch(
-            x,
-            fs=fs,
-            window=method.window,
-            nperseg=method.segment,
-            noverlap=int(method.overlap * method.segment),
-            detrend=False,
-            return_onesided=False,
-            scaling="density",
-        )
-        res_bw = fs / method.segment
+        step = method.segment - int(method.overlap * method.segment)
+        if method.segment < 2 or step < 1:
+            raise ConfigError(f"Welch needs segment >= 2 and overlap < 1: {method!r}")
+        k = np.arange(method.segment)
+        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * k / method.segment)
     elif isinstance(method, PeriodogramMethod):
         if len(x) == 0:
             raise FrameTooShort("empty frame")
-        freqs, pxx = _signal.periodogram(
-            x,
-            fs=fs,
-            window=method.window,
-            detrend=False,
-            return_onesided=False,
-            scaling="density",
-        )
-        res_bw = fs / len(x)
+        window, step = np.ones(len(x)), len(x)
     else:
         raise ConfigError(f"unknown PSD method {method!r}")
-    order = np.argsort(freqs)
-    pxx = np.maximum(pxx[order], 1e-300)
+    freqs, density = _averaged_periodogram(x, fs, window, step)
     return PsdEstimate(
-        freqs=freqs[order],
-        power_db=10.0 * np.log10(pxx),
-        resolution_bw=res_bw,
+        freqs=freqs,
+        power_db=10.0 * np.log10(np.maximum(density, 1e-300)),
+        resolution_bw=fs / len(window),
         method=method,
     )
+
+
+def _averaged_periodogram(x, fs: float, window: np.ndarray, step: int):
+    """(freqs, density): the estimate :func:`psd` states, on an ascending grid."""
+    segments = np.lib.stride_tricks.sliding_window_view(x, len(window))[::step]
+    power = np.mean(np.abs(np.fft.fft(segments * window)) ** 2, axis=0)
+    density = power / (fs * np.sum(window**2))
+    freqs = np.fft.fftfreq(len(window), d=1.0 / fs)
+    return np.fft.fftshift(freqs), np.fft.fftshift(density)
 
 
 def occupied_bandwidth(estimate: PsdEstimate, containment: float = 0.99) -> float:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wavemod import cli, configio, experiments, metrics
+from wavemod import cli, configio, experiments, metrics, modem
 from wavemod.errors import ConfigError
 
 
@@ -305,6 +305,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("wavemod: config error:")
         assert err.count("\n") == 1
+
+    def test_short_cyclic_prefix_fails_before_any_trial(self, tmp_path,
+                                                         monkeypatch, capsys):
+        """The Fourier chains' CP is checked against the channel before the
+        wpm system, which has no CP and runs first, simulates anything."""
+        calls = []
+        modulate = modem.ofdm_modulate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return modulate(*args, **kwargs)
+
+        monkeypatch.setattr(modem, "ofdm_modulate", counted)
+        path = tmp_path / "cp.cfg"
+        path.write_text("modem.cp_fraction = 0\n")
+        assert cli.main(["ber-fading", "--config", str(path)]) == 2
+        assert "cyclic prefix" in capsys.readouterr().err
+        assert calls == []
 
     def test_unexpected_exception_is_one_line_exit_3(self, monkeypatch, capsys):
         def broken(cfg):

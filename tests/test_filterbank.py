@@ -386,6 +386,23 @@ class TestBatchInvariance:
                 assert_array_equal(transform(x[:count], pair, levels).coeffs,
                                    rows[:count])
 
+    @pytest.mark.parametrize("name", BATCH_FAMILIES)
+    @pytest.mark.parametrize("forward, inverse, kind", [
+        (fb.wpt, fb.iwpt, fb.WPT_FULL), (fb.dwt, fb.idwt, fb.DWT_PRUNED),
+    ], ids=["iwpt", "idwt"])
+    def test_inverse_block_equals_row_calls_bit_for_bit(self, forward, inverse,
+                                                        kind, name):
+        """Includes idwt at 9 levels, whose deepest band has one sample."""
+        pair = fb.filter_by_name(name)
+        x = random_block((9, 512), seed=30)
+        for levels in range(1, 10):
+            coeffs = forward(x, pair, levels).coeffs
+            rows = np.stack([inverse(fb.SubbandSet(c, kind, levels), pair)
+                             for c in coeffs])
+            for count in (2, 7, 9):
+                block = fb.SubbandSet(coeffs[:count], kind, levels)
+                assert_array_equal(inverse(block, pair), rows[:count])
+
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_one_row_remainder_equals_one_unsliced_gemv(self, complex_valued):
         pair = fb.filter_by_name("db10")
@@ -396,6 +413,13 @@ class TestBatchInvariance:
         a, d = fb.analysis_step(x, pair)
         assert_array_equal(a, windows @ pair.h)
         assert_array_equal(d, windows @ pair.g)
+        # synthesis windows hold L/2 taps, so its slices are twice as long
+        half = 2 * ((fb._GEMV_SLICE_MACS // (pair.length // 2)) & ~3) + 1
+        a, d = random_block((2, half), seed=29, complex_valued=complex_valued)
+        idx = fb._synthesis_index(half, pair.length // 2)
+        out = fb.synthesis_step(a, d, pair)
+        assert_array_equal(out[0::2], a[idx] @ pair.h[0::2] + d[idx] @ pair.g[0::2])
+        assert_array_equal(out[1::2], a[idx] @ pair.h[1::2] + d[idx] @ pair.g[1::2])
 
 
 @settings(max_examples=20, deadline=None)

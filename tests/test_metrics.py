@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import wavemod
 from wavemod import metrics, modem
@@ -266,18 +267,59 @@ class TestPsd:
         with pytest.raises(FrameTooShort):
             metrics.psd(frame_of(np.ones(64)), metrics.WelchMethod(segment=256))
 
-    def test_cli_import_does_not_load_scipy_signal(self):
-        """scipy.signal loads only when psd() runs; the studies never pay
-        its import time."""
+    def test_welch_is_the_mean_of_windowed_segment_periodograms(self):
+        """Segments of 4 samples, 2 apart, under the periodic Hann window;
+        the symmetric np.hanning(4) gives other numbers."""
+        fs = 2.0
+        x = np.random.default_rng(15).standard_normal(16).view(complex)
+        w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(4) / 4)
+        segments = [x[0:4], x[2:6], x[4:8]]
+        density = np.mean(
+            [np.abs(np.fft.fft(seg * w)) ** 2 for seg in segments], axis=0
+        ) / (fs * np.sum(w**2))
+        est = metrics.psd(frame_of(x, rate=fs),
+                          metrics.WelchMethod(segment=4, overlap=0.5))
+        assert_allclose(est.freqs, np.fft.fftshift(np.fft.fftfreq(4, 1.0 / fs)))
+        assert_allclose(est.power_linear(), np.fft.fftshift(density), rtol=1e-12)
+        assert est.resolution_bw == fs / 4
+
+    def test_periodogram_of_a_bin_centred_tone(self):
+        """A unit tone on bin 5 of 64 puts all of N/fs on that bin."""
+        n, fs = 64, 4.0
+        x = np.exp(2j * np.pi * 5 * np.arange(n) / n)
+        est = metrics.psd(frame_of(x, rate=fs), metrics.PeriodogramMethod())
+        peak = int(np.argmax(est.power_db))
+        assert est.freqs[peak] == 5 * fs / n
+        assert est.power_linear()[peak] == pytest.approx(n / fs, rel=1e-12)
+        assert np.sum(est.power_linear()) == pytest.approx(n / fs, rel=1e-12)
+
+    def test_bad_welch_parameters(self):
+        frame = frame_of(np.ones(64))
+        for method in (metrics.WelchMethod(segment=1),
+                       metrics.WelchMethod(segment=16, overlap=1.0)):
+            with pytest.raises(ConfigError):
+                metrics.psd(frame, method)
+
+    def test_runs_without_scipy(self):
+        """wavemod needs numpy only: with scipy blocked from import, the CLI
+        module loads and both PSD methods run."""
         src = str(Path(wavemod.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
-        probe = "import sys, wavemod.cli; print('scipy.signal' in sys.modules)"
+        probe = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "import numpy as np, wavemod.cli\n"
+            "from wavemod import metrics, modem\n"
+            "frame = modem.BasebandFrame(np.ones(256), 1.0)\n"
+            "for method in (metrics.WelchMethod(segment=64), "
+            "metrics.PeriodogramMethod()):\n"
+            "    print(len(metrics.psd(frame, method).freqs))\n"
+        )
         out = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["64", "256"]
 
 
 class TestOccupiedBandwidth:

@@ -1,9 +1,10 @@
 """Constellations, multicarrier chains, WSK and dyadic pulse shaping."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import erfc
 
 from wavemod import channel as ch
 from wavemod import filterbank as fb
@@ -23,7 +24,7 @@ HAAR = fb.make_filter("haar")
 
 
 def qfunc(x):
-    return 0.5 * erfc(x / SQRT2)
+    return 0.5 * math.erfc(x / SQRT2)
 
 
 class TestConstellations:
