@@ -15,7 +15,6 @@ from .filterbank import (
     WaveletFilterPair,
     analysis_step,
     dwt,
-    filter_by_name,
     idwt,
     iwpt,
     list_families,

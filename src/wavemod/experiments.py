@@ -18,7 +18,8 @@ independent of it.  evm-sweep demodulates the receiver-filtered copies of
 one frame, a row per cutoff, as one block: below the FFT threshold the db10
 analysis gives every row of a complex block the bits of a call on that row
 alone (see filterbank.analysis_step), so each cutoff's round-off-level EVM
-does not depend on the other cutoffs.  Trial bits come from
+does not depend on the other cutoffs, and metrics.evm scores all the rows
+in one call with the bits of a call per row.  Trial bits come from
 metrics.TrialBits, the raw PCG64 output of the same seeds.
 """
 
@@ -48,10 +49,6 @@ def _trial_count(cfg: ExperimentConfig, default: int) -> int:
     return cfg.n_trials or default
 
 
-def _wavelet(name: str):
-    return filterbank.filter_by_name(name)
-
-
 def _levels(cfg: ExperimentConfig) -> int:
     if cfg.modem_levels > 0:
         return cfg.modem_levels
@@ -60,7 +57,7 @@ def _levels(cfg: ExperimentConfig) -> int:
 
 def system_configs(cfg: ExperimentConfig) -> dict:
     """The four compared transmitters, keyed wpm / ofdm / sc_wpm / sc_ofdm."""
-    pair = _wavelet(cfg.modem_wavelet)
+    pair = filterbank.make_filter(cfg.modem_wavelet)
     n = cfg.modem_n_subcarriers
     levels = _levels(cfg)
     os_ = cfg.modem_oversampling
@@ -166,15 +163,17 @@ def run_evm_bandwidth_sweep(cfg: ExperimentConfig) -> ResultTable:
         n, modem.FOURIER, oversampling=cfg.evm_oversampling, cp_fraction=0.0
     )
     wt = modem.OfdmConfig(
-        n, modem.WAVELET_PACKET, _wavelet(cfg.evm_wavelet), levels,
+        n, modem.WAVELET_PACKET, filterbank.make_filter(cfg.evm_wavelet), levels,
         oversampling=cfg.evm_oversampling, wpm_interp=modem.INTERP_FFT,
     )
 
     total = np.zeros((len(cutoffs), 2))
+    payloads = metrics.TrialBits([cfg.seed], [n_frames], n * spec.bits_per_symbol)
+    # one frame per step: at the default 512 subcarriers and nine cutoffs a
+    # block of three or more frames (3 x 9 x 512 x 20 multiply-adds) would
+    # cross filterbank's FFT threshold in the db10 receiver and move bits
     for trial in range(n_frames):
-        rng = np.random.default_rng([cfg.seed, trial])
-        bits = rng.integers(0, 2, n * spec.bits_per_symbol)
-        symbols = modem.map_bits(bits, spec)
+        symbols = modem.map_bits(payloads(range(trial, trial + 1))[0], spec)
         for column, chain in enumerate((ft, wt)):
             frame = modem.ofdm_modulate(symbols, chain)
             estimates = modem.ofdm_demodulate(
@@ -182,8 +181,7 @@ def run_evm_bandwidth_sweep(cfg: ExperimentConfig) -> ResultTable:
                                     frame.sample_rate, chain),
                 chain,
             )
-            for i, estimate in enumerate(estimates):
-                total[i, column] += metrics.evm(estimate, symbols)
+            total[:, column] += metrics.evm(estimates, symbols)
     table = ResultTable(
         columns=["cutoff", "evm_ft", "evm_wt"],
         provenance=provenance_for(cfg, "evm-sweep"),
@@ -291,7 +289,7 @@ def pulse_set_psd(pulses, rates, nfft: int = 1 << 18) -> metrics.PsdEstimate:
 
 
 def _dyadic_system_se(family: str, n_dyadics: int, iterations: int):
-    pair = _wavelet(family)
+    pair = filterbank.make_filter(family)
     mother = waveletdesign.mother_wavelet(pair, iterations)
     pulses = waveletdesign.dyadic_pulse_set(mother, n_dyadics)
     rates = [2.0**m for m in range(n_dyadics + 1)]

@@ -88,17 +88,31 @@ _FAMILY_ALIASES = {
 }
 
 
-def make_filter(family: str, order: int = 1) -> WaveletFilterPair:
+def make_filter(family: str, order: int | None = None) -> WaveletFilterPair:
     """Return the orthogonal filter pair for a named wavelet family.
 
-    Supported: Haar (order 1), Daubechies 2..20, Symlet 2..10, Coiflet 1..5.
+    The order is passed on its own (``make_filter("daubechies", 10)``) or
+    attached to the name (``make_filter("db10")``, ``"sym5"``, ``"coif3"``);
+    without either it is 1.  Supported: Haar (order 1), Daubechies 2..20,
+    Symlet 2..10, Coiflet 1..5.
 
     Raises
     ------
     UnsupportedFamily
-        If the family name is unknown or the order is out of range.
+        If the family name is unknown, the order is out of range, or the
+        name carries an order and one is also passed.
     """
-    key = _FAMILY_ALIASES.get(str(family).strip().lower())
+    name = str(family).strip().lower()
+    digits = name[len(name.rstrip("0123456789")):]
+    if digits:
+        if order is not None:
+            raise UnsupportedFamily(
+                f"wavelet name {family!r} already carries an order"
+            )
+        name, order = name[:-len(digits)], int(digits)
+    elif order is None:
+        order = 1
+    key = _FAMILY_ALIASES.get(name)
     if key is None:
         raise UnsupportedFamily(f"unknown wavelet family {family!r}")
     if key == "haar":
@@ -129,23 +143,20 @@ def list_families() -> list[str]:
     return names
 
 
-def filter_by_name(name: str) -> WaveletFilterPair:
-    """Resolve names like 'haar', 'db10', 'sym5', 'coif3'."""
-    name = name.strip().lower()
-    if name == "haar":
-        return make_filter("haar", 1)
-    for prefix in ("db", "sym", "coif"):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            return make_filter(prefix, int(name[len(prefix):]))
-    raise UnsupportedFamily(f"cannot parse wavelet name {name!r}")
-
-
 # The index tables depend only on (row length, taps), and a transform at J
 # levels needs J of them, so each is built once and shared read-only.
 @functools.lru_cache(maxsize=128)
 def _gather_index(n: int, taps: int) -> np.ndarray:
     # row k holds the circular sample indices feeding output coefficient k
     idx = (np.arange(taps)[None, :] + 2 * np.arange(n // 2)[:, None]) % n
+    idx.flags.writeable = False
+    return idx
+
+
+@functools.lru_cache(maxsize=128)
+def _padded_index(n: int, taps: int) -> np.ndarray:
+    # a period of n samples followed by its first taps - 2 again (circularly)
+    idx = np.arange(n + taps - 2) % n
     idx.flags.writeable = False
     return idx
 
@@ -164,8 +175,9 @@ _FFT_WORK_THRESHOLD = 1 << 18
 
 # Most multiply-adds one gemv of the one-band gather path may run.
 # OpenBLAS 0.3.31 hands a zgemv of 4096 or more to its thread pool, whose
-# worker then spins between calls; below that it runs on the calling thread.
-_GEMV_SLICE_MACS = 2048
+# worker then spins between calls; below that it runs on the calling thread
+# (measured on 2 vCPUs: CPU/wall 1.0 for a 204 x 20 zgemv, 2.0 for 205 x 20).
+_GEMV_SLICE_MACS = 4095
 
 
 def _pad_taps(taps: np.ndarray, n: int) -> np.ndarray:
@@ -183,27 +195,25 @@ def analysis_step(x, pair: WaveletFilterPair):
     (bands, n) stack; the axes before them only count frames.
 
     Summation order: a two-tap pair runs elementwise on the even and odd
-    samples, a = even*h[0] + odd*h[1].  Longer pairs take a gathered
+    samples, a = even*h[0] + odd*h[1].  Longer pairs take a windowed
     product whose path follows the frame shape, never the frame count:
 
     * one band of n > 2 samples (a 1-D input, or a frame stack of one
       band): 2-D BLAS gemvs of gathered windows, ``windows @ h``, over the
       rows of every frame, in slices of at most ``_GEMV_SLICE_MACS``
       multiply-adds, so OpenBLAS never wakes its thread pool;
-    * stacked bands: numpy's in-order non-BLAS loop;
+    * stacked bands of n > 2 samples: numpy's in-order non-BLAS loop, one
+      matmul per filter over a read-only strided window view of a
+      circularly padded copy (rows 2 samples apart, so no gathered copy);
     * n == 2: a dot per band.
-
-    Each gather takes whole frames: one, or as many as fit in
-    ``_GEMV_SLICE_MACS`` multiply-adds, which bounds the windows' memory.
 
     A complex gemv row gives the same bits for any row count of two or
     more (numpy sends a one-row product to dot, so no slice has one row),
-    so below the FFT threshold every frame of a complex block gives the
-    bits of a call on that frame alone.  A real gemv sums in groups of 4
-    rows; slices start on such a group, so slicing keeps the bits of one
-    unsliced gemv, but rows of several short frames share groups.  The
-    bits also depend on the BLAS build.  Large arrays of longer pairs run
-    as FFT products instead.
+    and a real gemv sums in groups of 4 rows, which every slice and every
+    gathered frame starts on, so below the FFT threshold every frame of a
+    block gives the bits of a call on that frame alone.  The bits also
+    depend on the BLAS build.  Large arrays of longer pairs run as FFT
+    products instead.
     """
     x = np.asarray(x)
     n = x.shape[-1]
@@ -225,19 +235,33 @@ def analysis_step(x, pair: WaveletFilterPair):
         if not np.iscomplexobj(x):
             return a.real, d.real
         return a, d
+    if n > 2 and x.ndim > 1 and x.shape[-2] > 1:
+        # (..., n/2, L) windows over a circularly padded copy, stepping 2
+        # samples per row and 1 per tap: a row stride below L keeps matmul
+        # off BLAS, on numpy's in-order loop.  The view is built on the
+        # copy's buffer, not by as_strided: with as_strided (numpy 2.4.6)
+        # the peak RSS of 80 evm-sweep studies in one interpreter rose in
+        # steps, to about 1.4 MB above this view's.
+        padded = np.take(x, _padded_index(n, pair.length), axis=-1)
+        step = padded.strides[-1]
+        windows = np.ndarray(x.shape[:-1] + (n // 2, pair.length), padded.dtype,
+                             padded, 0, padded.strides[:-1] + (2 * step, step))
+        windows.flags.writeable = False
+        return windows @ pair.h, windows @ pair.g
     idx = _gather_index(n, pair.length)
     frames = x.reshape((-1,) + (x.shape[-2:] if x.ndim > 1 else (1, n)))
     out_shape = x.shape[:-1] + (n // 2,)
-    if n > 2 and frames.shape[1] == 1:
+    if n > 2:
         a, d = _one_band_gemv(frames[:, 0, :], idx, (pair.h, pair.g))
         return a.reshape(out_shape), d.reshape(out_shape)
     a = np.empty(frames.shape[:-1] + (n // 2,), dtype=np.result_type(x, pair.h))
     d = np.empty_like(a)
     per_gather = max(1, _GEMV_SLICE_MACS // (frames.shape[1] * idx.size))
     for f in range(0, len(frames), per_gather):
-        # (frames, bands, n/2, L) windows with each frame's bands
-        # innermost, the layout of frame[..., idx]: matmul then runs
-        # numpy's in-order loop, or a dot per band when n == 2
+        # two-sample bands: (frames, bands, 1, L) windows with each frame's
+        # bands innermost, the layout of frame[..., idx], so matmul runs a
+        # dot per band; gathered a few frames at a time, which bounds the
+        # windows' memory
         block = frames[f:f + per_gather].swapaxes(-1, -2)
         windows = np.take(block, idx, axis=-2).transpose(0, 3, 1, 2)
         a[f:f + per_gather] = windows @ pair.h
@@ -253,14 +277,18 @@ def _one_band_gemv(rows, idx, taps):
     Runs 2-D gemvs of at most ``_GEMV_SLICE_MACS`` multiply-adds (8 rows
     for windows wider than 256) over whole groups of 4 rows and at least
     two rows; a frame of one window gets a dot.  Windows are gathered one
-    frame at a time, or as many whole frames at a time as one gemv takes."""
+    frame at a time, or as many whole frames at a time as one gemv takes
+    when every frame starts a group of 4 rows."""
     half, width = idx.shape
     dtype = np.result_type(rows, *taps)
     outs = [np.empty(len(rows) * half, dtype=dtype) for _ in taps]
     step = max(8, (_GEMV_SLICE_MACS // width) & ~3)  # whole groups of 4 rows
     # a frame of one window is gathered alone: numpy sends its one-row
-    # product to dot, as in a call on that frame
-    per_gather = max(1, step // half) if half > 1 else 1
+    # product to dot, as in a call on that frame.  So is a real frame of
+    # rows that do not fill whole groups of 4: a real gemv sums in groups of
+    # 4 rows, and a frame's rows then fall in the groups of its own call.
+    alone = half == 1 or (dtype.kind != "c" and half % 4 != 0)
+    per_gather = 1 if alone else max(1, step // half)
     for f in range(0, len(rows), per_gather):
         windows = np.take(rows[f:f + per_gather], idx, axis=-1).reshape(-1, width)
         bounds = list(range(0, len(windows), step))

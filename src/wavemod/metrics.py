@@ -240,18 +240,27 @@ def papr_ccdf(cfg: OfdmConfig, spec: ConstellationSpec, n_symbols: int,
                      exceed_counts=counts)
 
 
-def evm(received, reference) -> float:
-    """Mean per-symbol power ratio between error vectors and references."""
+def evm(received, reference):
+    """Mean per-symbol power ratio between error vectors and references.
+
+    One frame (n,) gives a float.  A block (..., n) gives an array with one
+    value per row, each the bits of a call on that row alone (numpy's
+    pairwise row sum); its reference is one (n,) frame for every row, or a
+    block of the received shape.
+    """
     received = np.asarray(received, dtype=complex)
     reference = np.asarray(reference, dtype=complex)
-    if received.shape != reference.shape:
+    if reference.shape not in (received.shape, received.shape[-1:]):
         raise LengthMismatch("received/reference symbol counts differ")
     if received.size == 0:
         raise ConfigError("EVM needs at least one symbol")
     ref_power = np.abs(reference) ** 2
     if np.any(ref_power == 0.0):
         raise ZeroReferenceSymbol("reference symbols must be nonzero")
-    return float(np.mean(np.abs(received - reference) ** 2 / ref_power))
+    ratio = np.abs(received - reference) ** 2 / ref_power
+    if received.ndim <= 1:
+        return float(np.mean(ratio))
+    return np.mean(ratio, axis=-1)
 
 
 def ber(tx_bits, rx_bits) -> float:

@@ -48,9 +48,9 @@ from .filterbank import (
     SubbandSet,
     WaveletFilterPair,
     dwt,
-    filter_by_name,
     idwt,
     iwpt,
+    make_filter,
     wpt,
 )
 from .waveletdesign import SampledWaveform
@@ -433,7 +433,7 @@ def _shipped_taps(family: str) -> tuple[bytes, bytes] | None:
     """Lowpass and highpass taps (as bytes) of the shipped pair named
     family, or None when no shipped pair has that name."""
     try:
-        pair = filter_by_name(family)
+        pair = make_filter(family)
     except UnsupportedFamily:
         return None
     return pair.h.tobytes(), pair.g.tobytes()

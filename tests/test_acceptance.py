@@ -35,7 +35,7 @@ def test_criterion_1_perfect_reconstruction():
     frames = rng.standard_normal((100, 1024)) + 1j * rng.standard_normal((100, 1024))
     worst = 0.0
     for name in fb.list_families():
-        pair = fb.filter_by_name(name)
+        pair = fb.make_filter(name)
         levels = 5
         err_dwt = np.max(np.abs(fb.idwt(fb.dwt(frames, pair, levels), pair) - frames))
         err_wpt = np.max(np.abs(fb.iwpt(fb.wpt(frames, pair, levels), pair) - frames))
@@ -54,7 +54,7 @@ def test_criterion_2_qmf_verification():
     shipped pair."""
     worst_alias = worst_amp = 0.0
     for name in fb.list_families():
-        alias, amplitude = fb.verify_pr(fb.filter_by_name(name), 4096)
+        alias, amplitude = fb.verify_pr(fb.make_filter(name), 4096)
         worst_alias = max(worst_alias, alias)
         worst_amp = max(worst_amp, amplitude)
     report(

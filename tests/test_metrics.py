@@ -197,6 +197,19 @@ class TestEvm:
         phase = np.exp(1j * 0.7)
         assert abs(metrics.evm(r, d) - metrics.evm(phase * r, phase * d)) < 1e-12
 
+    @pytest.mark.parametrize("n", [7, 512, 1000])
+    def test_block_equals_row_calls_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        r = d + 1e-8 * (rng.standard_normal((9, n)) + 1j * rng.standard_normal((9, n)))
+        rows = [metrics.evm(row, d) for row in r]
+        assert all(type(value) is float for value in rows)
+        block = metrics.evm(r, d)
+        assert block.shape == (9,)
+        assert np.array_equal(block, rows)
+        assert np.array_equal(metrics.evm(r, np.broadcast_to(d, r.shape)), rows)
+        assert np.array_equal(metrics.evm(r.reshape(3, 3, n), d).ravel(), rows)
+
     def test_zero_reference_rejected(self):
         with pytest.raises(ZeroReferenceSymbol):
             metrics.evm(np.ones(3), np.array([1.0, 0.0, 1.0]))
@@ -204,6 +217,8 @@ class TestEvm:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             metrics.evm(np.ones(3), np.ones(4))
+        with pytest.raises(LengthMismatch):
+            metrics.evm(np.ones((2, 3)), np.ones((3, 3)))
 
 
 class TestBer:

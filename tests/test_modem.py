@@ -219,7 +219,7 @@ class TestWaveletPacketChain:
 
     def test_db10_roundtrip(self):
         cfg = modem.OfdmConfig(
-            512, modem.WAVELET_PACKET, fb.filter_by_name("db10"), 9,
+            512, modem.WAVELET_PACKET, fb.make_filter("db10"), 9,
             oversampling=2, wpm_interp=modem.INTERP_FFT,
         )
         rng = np.random.default_rng(6)
@@ -268,7 +268,7 @@ class TestPrecoders:
         """sc_wpm (wpt precoder, own pair and depth) equals the composed
         chain within round-off."""
         cfg = modem.OfdmConfig(
-            512, modem.WAVELET_PACKET, fb.filter_by_name(name), 9,
+            512, modem.WAVELET_PACKET, fb.make_filter(name), 9,
             oversampling=4, precoder=modem.PRECODER_WPT, wpm_interp=interp,
         )
         rng = np.random.default_rng(17)

@@ -210,7 +210,7 @@ class TestCascade:
 
     @pytest.mark.parametrize("name", ["db4", "db10", "sym5", "coif2"])
     def test_cascade_normalizations(self, name):
-        pair = fb.filter_by_name(name)
+        pair = fb.make_filter(name)
         phi = wd.scaling_function(pair, iterations=8)
         psi = wd.mother_wavelet(pair, iterations=8)
         # father integrates to one, mother to zero, both unit energy
@@ -229,7 +229,7 @@ class TestDyadicPulses:
 
     @pytest.mark.parametrize("n_dyadics", [0, 1, 2])
     def test_pulse_count_and_unit_energy(self, n_dyadics):
-        psi = wd.mother_wavelet(fb.filter_by_name("db4"), 8)
+        psi = wd.mother_wavelet(fb.make_filter("db4"), 8)
         pulses = wd.dyadic_pulse_set(psi, n_dyadics)
         assert len(pulses) == n_dyadics + 1
         for pulse in pulses:
@@ -251,7 +251,7 @@ class TestDyadicPulses:
         # discretization error of the cross-scale inner product shrinks
         # roughly 4x per extra cascade iteration; 12 is comfortably inside
         # the 1e-6 target for db6
-        psi = wd.mother_wavelet(fb.filter_by_name("db6"), 12)
+        psi = wd.mother_wavelet(fb.make_filter("db6"), 12)
         pulses = wd.dyadic_pulse_set(psi, 2)
         a, b = pulses[0].samples, pulses[1].samples
         n = min(len(a), len(b))
