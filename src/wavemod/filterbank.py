@@ -154,9 +154,9 @@ def _gather_index(n: int, taps: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def _padded_index(n: int, taps: int) -> np.ndarray:
-    # a period of n samples followed by its first taps - 2 again (circularly)
-    idx = np.arange(n + taps - 2) % n
+def _padded_index(n: int, lead: int, length: int) -> np.ndarray:
+    # length circular sample indices of a period of n, from -lead on
+    idx = (np.arange(length) - lead) % n
     idx.flags.writeable = False
     return idx
 
@@ -169,10 +169,6 @@ def _synthesis_index(half: int, taps: int) -> np.ndarray:
     return idx
 
 
-# Above this many scalar multiply-adds the circular correlations run as
-# FFT products instead of gathered matmuls; both paths agree to ~1e-13.
-_FFT_WORK_THRESHOLD = 1 << 18
-
 # Most multiply-adds one gemv of the one-band gather path may run.
 # OpenBLAS 0.3.31 hands a zgemv of 4096 or more to its thread pool, whose
 # worker then spins between calls; below that it runs on the calling thread
@@ -180,9 +176,24 @@ _FFT_WORK_THRESHOLD = 1 << 18
 _GEMV_SLICE_MACS = 4095
 
 
-def _pad_taps(taps: np.ndarray, n: int) -> np.ndarray:
-    # taps beyond the period wrap around, as in the gather path's index table
-    return np.bincount(np.arange(len(taps)) % n, weights=taps, minlength=n)
+def _window_view(x, width: int, row_step: int, tap_step: int) -> np.ndarray:
+    """Read-only (..., n // row_step, width) view of the (..., n) array x,
+    ``view[..., r, p] = x[..., (r * row_step + p * tap_step) % n]``, on a
+    circularly padded copy: no window is gathered, and overlapping rows keep
+    matmul off BLAS, on numpy's in-order loop over the taps.  It is built on
+    the copy's buffer, not by as_strided: with as_strided (numpy 2.4.6) the
+    peak RSS of 80 evm-sweep studies in one interpreter rose in steps, to
+    about 1.4 MB above this view's."""
+    n = x.shape[-1]
+    rows = n // row_step
+    lead = (width - 1) * max(0, -tap_step)
+    length = (rows - 1) * row_step + (width - 1) * abs(tap_step) + 1
+    padded = np.take(x, _padded_index(n, lead, length), axis=-1)
+    step = padded.strides[-1]
+    view = np.ndarray(x.shape[:-1] + (rows, width), padded.dtype, padded, lead * step,
+                      padded.strides[:-1] + (row_step * step, tap_step * step))
+    view.flags.writeable = False
+    return view
 
 
 def analysis_step(x, pair: WaveletFilterPair):
@@ -210,12 +221,15 @@ def analysis_step(x, pair: WaveletFilterPair):
     A complex gemv row gives the same bits for any row count of two or
     more (numpy sends a one-row product to dot, so no slice has one row),
     and a real gemv sums in groups of 4 rows, which every slice and every
-    gathered frame starts on, so below the FFT threshold every frame of a
-    block gives the bits of a call on that frame alone.  The bits also
-    depend on the BLAS build.  Large arrays of longer pairs run as FFT
-    products instead.
+    gathered frame starts on, so every frame of a block of any size gives
+    the bits of a call on that frame alone.  The bits also depend on the
+    BLAS build.
+
+    Raises BadLength for an empty input and OddLength for an odd n.
     """
     x = np.asarray(x)
+    if x.size == 0:
+        raise BadLength(f"empty input of shape {x.shape}")
     n = x.shape[-1]
     if n % 2 != 0:
         raise OddLength(f"signal length {n} is odd")
@@ -223,30 +237,9 @@ def analysis_step(x, pair: WaveletFilterPair):
         even, odd = x[..., 0::2], x[..., 1::2]
         h, g = pair.h, pair.g
         return even * h[0] + odd * h[1], even * g[0] + odd * g[1]
-    if x.size * pair.length >= _FFT_WORK_THRESHOLD:
-        spectrum = np.fft.fft(x, axis=-1)
-        corr_h = np.fft.ifft(
-            spectrum * np.conj(np.fft.fft(_pad_taps(pair.h, n))), axis=-1
-        )
-        corr_g = np.fft.ifft(
-            spectrum * np.conj(np.fft.fft(_pad_taps(pair.g, n))), axis=-1
-        )
-        a, d = corr_h[..., 0::2], corr_g[..., 0::2]
-        if not np.iscomplexobj(x):
-            return a.real, d.real
-        return a, d
     if n > 2 and x.ndim > 1 and x.shape[-2] > 1:
-        # (..., n/2, L) windows over a circularly padded copy, stepping 2
-        # samples per row and 1 per tap: a row stride below L keeps matmul
-        # off BLAS, on numpy's in-order loop.  The view is built on the
-        # copy's buffer, not by as_strided: with as_strided (numpy 2.4.6)
-        # the peak RSS of 80 evm-sweep studies in one interpreter rose in
-        # steps, to about 1.4 MB above this view's.
-        padded = np.take(x, _padded_index(n, pair.length), axis=-1)
-        step = padded.strides[-1]
-        windows = np.ndarray(x.shape[:-1] + (n // 2, pair.length), padded.dtype,
-                             padded, 0, padded.strides[:-1] + (2 * step, step))
-        windows.flags.writeable = False
+        # windows[..., k, p] = x[..., 2k + p]
+        windows = _window_view(x, pair.length, 2, 1)
         return windows @ pair.h, windows @ pair.g
     idx = _gather_index(n, pair.length)
     frames = x.reshape((-1,) + (x.shape[-2:] if x.ndim > 1 else (1, n)))
@@ -309,11 +302,14 @@ def synthesis_step(a, d, pair: WaveletFilterPair):
 
         x[2m + r] = sum_p h[2p + r] a[m - p] + g[2p + r] d[m - p].
 
-    Frames are laid out as in :func:`analysis_step`.  Longer pairs gather
+    Frames are laid out as in :func:`analysis_step`.  Longer pairs take
     windows of L/2 subband samples: one band (a 1-D input, or a frame stack
-    of one band) runs the sliced gemvs of the analysis one-band path, so
-    every frame of a complex block below the FFT threshold gives the bits
-    of a call on that frame alone; stacked bands take one matmul.
+    of one band) runs the sliced gemvs of the analysis one-band path;
+    stacked bands of half > 1 samples run one matmul per tap vector over a
+    strided window view (rows 1 sample apart, taps -1), as stacked analysis
+    does; stacked one-sample bands take gathered windows, which numpy sends
+    to dot.  So every frame of a block of any size gives the bits of a call
+    on that frame alone.  Raises BadLength for empty subbands.
     """
     a = np.asarray(a)
     d = np.asarray(d)
@@ -321,28 +317,23 @@ def synthesis_step(a, d, pair: WaveletFilterPair):
         raise LengthMismatch(
             f"approximation shape {a.shape} != detail shape {d.shape}"
         )
+    if a.size == 0:
+        raise BadLength(f"empty subbands of shape {a.shape}")
     half = a.shape[-1]
     n = 2 * half
-    if a.size * pair.length >= _FFT_WORK_THRESHOLD and pair.length > 2:
-        up = np.zeros(a.shape[:-1] + (n,), dtype=np.result_type(a, d, 1j))
-        up[..., 0::2] = a
-        spectrum = np.fft.fft(up, axis=-1) * np.fft.fft(_pad_taps(pair.h, n))
-        up[..., 0::2] = d
-        spectrum += np.fft.fft(up, axis=-1) * np.fft.fft(_pad_taps(pair.g, n))
-        out = np.fft.ifft(spectrum, axis=-1)
-        if not (np.iscomplexobj(a) or np.iscomplexobj(d)):
-            return out.real
-        return out
     out = np.empty(a.shape[:-1] + (n,), dtype=np.result_type(a, d, pair.h))
     if pair.length == 2:
         h, g = pair.h, pair.g
         out[..., 0::2] = a * h[0] + d * g[0]
         out[..., 1::2] = a * h[1] + d * g[1]
         return out
-    idx = _synthesis_index(half, pair.length // 2)
+    taps = pair.length // 2
+    idx = _synthesis_index(half, taps)
     if a.ndim > 1 and a.shape[-2] > 1:
-        win_a = a[..., idx]
-        win_d = d[..., idx]
+        if half > 1:  # windows[..., m, p] = a[..., m - p]
+            win_a, win_d = (_window_view(v, taps, 1, -1) for v in (a, d))
+        else:  # dot on gathered one-row windows; the view moves its bits
+            win_a, win_d = a[..., idx], d[..., idx]
         out[..., 0::2] = win_a @ pair.h[0::2] + win_d @ pair.g[0::2]
         out[..., 1::2] = win_a @ pair.h[1::2] + win_d @ pair.g[1::2]
         return out
@@ -390,14 +381,15 @@ def band_lengths(tree_kind: str, levels: int, n: int) -> list[int]:
     """Per-band coefficient counts for a length-n input.
 
     The one check of a subband layout: raises ConfigError for an unknown
-    tree kind or levels < 1, and BadLength unless 2**levels divides n.
+    tree kind or levels < 1, and BadLength unless n is a positive multiple
+    of 2**levels.
     """
     if tree_kind not in (DWT_PRUNED, WPT_FULL):
         raise ConfigError(f"unknown tree kind {tree_kind!r}")
     if levels < 1:
         raise ConfigError("levels must be >= 1")
-    if n % (2**levels) != 0:
-        raise BadLength(f"length {n} not divisible by 2**{levels}")
+    if n == 0 or n % (2**levels) != 0:
+        raise BadLength(f"length {n} is not a positive multiple of 2**{levels}")
     if tree_kind == DWT_PRUNED:
         # [a_J, d_J, d_{J-1}, ..., d_1]
         return [n >> levels] + [n >> j for j in range(levels, 0, -1)]

@@ -162,15 +162,29 @@ class TestEvmExperiment:
             values = np.asarray(evm_table.column(name))
             assert np.all(np.diff(values) <= 1e-9)
 
-    @pytest.mark.parametrize("cutoff", ["1.0", "0.5"])
-    def test_cutoff_alone_gives_its_row_of_the_full_sweep(self, evm_table, cutoff):
+    @pytest.mark.parametrize("cutoff, subcarriers", [
+        pytest.param("1.0", 512, id="1.0"),
+        pytest.param("0.5", 512, id="0.5"),
+        pytest.param("0.5", 2048, id="0.5-2048"),
+    ])
+    def test_cutoff_alone_gives_its_row_of_the_full_sweep(self, evm_table, cutoff,
+                                                          subcarriers):
         """A frame's cutoffs are demodulated as one block; each row's EVM,
-        round-off level at 1.0, does not depend on the rows beside it."""
+        round-off level at 1.0, does not depend on the rows beside it.  At
+        2048 subcarriers the nine-cutoff db10 receive block is 9 x 2048 x 20
+        multiply-adds per analysis level."""
+        sweep = {"n_trials": 10}
+        full = evm_table
+        if subcarriers != 512:
+            sweep = {"n_trials": 3, "modem_n_subcarriers": subcarriers}
+            full = experiments.run_evm_bandwidth_sweep(
+                cfg_with(experiment="evm-sweep", **sweep)
+            )
         alone = experiments.run_evm_bandwidth_sweep(
-            cfg_with(experiment="evm-sweep", n_trials=10, evm_cutoffs=cutoff)
+            cfg_with(experiment="evm-sweep", evm_cutoffs=cutoff, **sweep)
         )
-        row = evm_table.column("cutoff").index(float(cutoff))
-        assert alone.rows == [evm_table.rows[row]]
+        row = full.column("cutoff").index(float(cutoff))
+        assert alone.rows == [full.rows[row]]
 
     def test_invalid_cutoffs_rejected(self):
         with pytest.raises(ConfigError):

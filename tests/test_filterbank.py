@@ -133,6 +133,20 @@ class TestAnalysisSynthesis:
         with pytest.raises(LengthMismatch):
             fb.synthesis_step([1.0, 2.0], [1.0], fb.make_filter("haar"))
 
+    @pytest.mark.parametrize("call", [
+        lambda pair: fb.wpt(np.zeros(0), pair, 1),
+        lambda pair: fb.dwt(np.zeros(0), pair, 1),
+        lambda pair: fb.analysis_step(np.zeros((2, 0, 8)), pair),
+        lambda pair: fb.analysis_step(np.zeros((2, 2, 0)), pair),
+        lambda pair: fb.synthesis_step(np.zeros((2, 0)), np.zeros((2, 0)), pair),
+        lambda pair: fb.synthesis_step(np.zeros((0, 4)), np.zeros((0, 4)), pair),
+    ], ids=["wpt", "dwt", "no-bands", "no-samples", "synthesis-no-samples",
+            "synthesis-no-frames"])
+    def test_empty_input_is_bad_length(self, call):
+        for name in ALL_FAMILIES:
+            with pytest.raises(BadLength):
+                call(fb.make_filter(name))
+
 
 HAAR8 = np.array([
     [1, 1, 1, 1, 1, 1, 1, 1],
@@ -251,16 +265,10 @@ class TestWpt:
         back = fb.iwpt(fb.wpt(x, pair, 9), pair)
         assert np.max(np.abs(back - x)) < 1e-9
 
-    def test_fft_and_gather_kernels_agree_on_rows_shorter_than_filter(
-            self, monkeypatch):
+    def test_step_round_trip_on_rows_shorter_than_filter(self):
         pair = fb.make_filter("db20")
         x = random_signal(3 * 32, seed=16).reshape(3, 32)
-        gathered = fb.analysis_step(x, pair)
-        rebuilt = fb.synthesis_step(*gathered, pair)
-        monkeypatch.setattr(fb, "_FFT_WORK_THRESHOLD", 0)
-        for fft_out, gather_out in zip(fb.analysis_step(x, pair), gathered):
-            assert_allclose(fft_out, gather_out, atol=1e-12)
-        assert_allclose(fb.synthesis_step(*gathered, pair), rebuilt, atol=1e-12)
+        rebuilt = fb.synthesis_step(*fb.analysis_step(x, pair), pair)
         assert_allclose(rebuilt, x, atol=1e-12)
 
 
@@ -325,12 +333,16 @@ class TestTwoTapKernel:
             for r in coeffs
         ]))
 
-    @pytest.mark.parametrize("table", [fb._gather_index, fb._synthesis_index])
-    def test_index_tables_are_cached_and_read_only(self, table):
-        first = table(64, 4)
-        assert table(64, 4) is first
+    @pytest.mark.parametrize("table, args", [
+        (fb._gather_index, (64, 4)),
+        (fb._synthesis_index, (64, 4)),
+        (fb._padded_index, (64, 3, 66)),
+    ], ids=["_gather_index", "_synthesis_index", "_padded_index"])
+    def test_index_tables_are_cached_and_read_only(self, table, args):
+        first = table(*args)
+        assert table(*args) is first
         with pytest.raises(ValueError):
-            first[0, 0] = 1
+            first.flat[0] = 1
 
 
 def row_call_step(x, pair):
@@ -372,40 +384,47 @@ def row_call_dwt(x, pair, levels):
 
 BATCH_FAMILIES = ["db2", "db10", "sym8", "coif3"]
 
+# (family, frames) of the complex blocks: nine frames of each family, and a
+# db10 block of 32 frames (327680 multiply-adds in each analysis level)
+COMPLEX_BLOCKS = [pytest.param(name, 9, id=name) for name in BATCH_FAMILIES] + [
+    pytest.param("db10", 32, id="db10-32frames"),
+]
+
 
 class TestBatchInvariance:
-    """Longer filters: below the FFT threshold every frame of a complex or
-    real block gives the bits of a call on that frame alone."""
+    """Longer filters: every frame of a complex or real block, of any size,
+    gives the bits of a call on that frame alone."""
 
-    @pytest.mark.parametrize("name", BATCH_FAMILIES)
+    @pytest.mark.parametrize("name, frames", COMPLEX_BLOCKS)
     @pytest.mark.parametrize("transform, formula", [
         (fb.wpt, row_call_wpt), (fb.dwt, row_call_dwt),
     ], ids=["wpt", "dwt"])
-    def test_block_equals_row_calls_bit_for_bit(self, transform, formula, name):
+    def test_block_equals_row_calls_bit_for_bit(self, transform, formula, name,
+                                                frames):
         pair = fb.make_filter(name)
-        x = random_block((9, 512), seed=27)
+        x = random_block((frames, 512), seed=27)
         for levels in range(1, 10):
             rows = np.stack([transform(r, pair, levels).coeffs for r in x])
             for r, row in zip(x[:2], rows):
                 assert_array_equal(row, formula(r, pair, levels))
-            for count in (2, 7, 9):
+            for count in (2, 7, frames):
                 assert_array_equal(transform(x[:count], pair, levels).coeffs,
                                    rows[:count])
 
-    @pytest.mark.parametrize("name", BATCH_FAMILIES)
+    @pytest.mark.parametrize("name, frames", COMPLEX_BLOCKS)
     @pytest.mark.parametrize("forward, inverse, kind", [
         (fb.wpt, fb.iwpt, fb.WPT_FULL), (fb.dwt, fb.idwt, fb.DWT_PRUNED),
     ], ids=["iwpt", "idwt"])
     def test_inverse_block_equals_row_calls_bit_for_bit(self, forward, inverse,
-                                                        kind, name):
+                                                        kind, name, frames):
         """Includes idwt at 9 levels, whose deepest band has one sample."""
         pair = fb.make_filter(name)
-        x = random_block((9, 512), seed=30)
+        x = random_block((frames, 512), seed=30)
         for levels in range(1, 10):
             coeffs = forward(x, pair, levels).coeffs
             rows = np.stack([inverse(fb.SubbandSet(c, kind, levels), pair)
                              for c in coeffs])
-            for count in (2, 7, 9):
+            for count in (2, 7, frames):
                 block = fb.SubbandSet(coeffs[:count], kind, levels)
                 assert_array_equal(inverse(block, pair), rows[:count])
 
@@ -428,6 +447,18 @@ class TestBatchInvariance:
                                    coeffs[:count])
                 block = fb.SubbandSet(coeffs[:count], kind, levels)
                 assert_array_equal(inverse(block, pair), rows[:count])
+
+    @pytest.mark.parametrize("name", BATCH_FAMILIES)
+    @pytest.mark.parametrize("shape", [(3, 8, 64), (2, 4, 3), (3, 8, 1)],
+                             ids=["stacked", "odd-half", "one-sample"])
+    def test_stacked_synthesis_equals_gathered_matmul(self, shape, name):
+        """The strided window view sums the taps in the order of a matmul
+        over gathered windows a[..., m - p]; one-sample bands keep that
+        matmul."""
+        pair = fb.make_filter(name)
+        a, d = random_block(shape, seed=32), random_block(shape, seed=33)
+        assert_array_equal(fb.synthesis_step(a, d, pair),
+                           gathered_synthesis(a, d, pair))
 
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_one_row_remainder_equals_one_unsliced_gemv(self, complex_valued):
