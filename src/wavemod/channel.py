@@ -160,6 +160,8 @@ class MultipathSpec:
                  decay_db_per_tap: float = 3.0) -> "MultipathSpec":
         """Default static fading profile: one tap per sample, exponentially
         decaying power (3 dB per tap), seeded uniform phases, unit power."""
+        if n_taps < 1:
+            raise ConfigError("channel needs at least one tap")
         rng = np.random.default_rng(seed)
         delays = np.arange(n_taps)
         amplitude = 10.0 ** (-decay_db_per_tap * delays / 20.0)

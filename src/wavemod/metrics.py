@@ -88,9 +88,11 @@ class CcdfCurve:
 # Monte-Carlo loops push blocks of trials through the chains; a block holds
 # about this many bytes of complex samples (8 frames of 2048 samples).
 # Per-trial seeding makes every output byte independent of the block size.
-# It stays at 256 KiB: on the papr-tx benchmark (2 vCPUs, 10 alternating
-# pairs) twice this (16 frames) ran 23% fewer frames/s (7764 -> 5988
-# median, slower in all 10) for 0.9 MB (+2.4%) more peak RSS.
+# It stays at 256 KiB for memory: on the papr-tx benchmark (2 vCPUs, 6
+# alternating pairs, with the allocator thresholds experiments.py fixes)
+# twice this (16 frames) ran 15% more frames/s (10363 -> 11927 median,
+# faster in all 6) but raised peak RSS by 1.3 MB (+3.2%), most of the
+# benchmark's 5% bound on that metric.
 _BLOCK_BYTES = 1 << 18
 
 
