@@ -11,7 +11,9 @@ grouped into blocks.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +36,19 @@ from .modem import (
 
 ES_PER_SAMPLE = "es-per-sample"
 EB_PER_BIT = "eb-per-bit"
+
+
+def _check_db(value_db: float, what: str) -> None:
+    """Raise ConfigError unless 10 ** (value_db / 10) is a normal float
+    (NaN fails; so does a ratio that overflows or underflows)."""
+    try:
+        ratio = 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not sys.float_info.min <= ratio < math.inf:
+        raise ConfigError(
+            f"{what} of {value_db!r} dB is a power ratio outside the float range"
+        )
 
 
 @dataclass(frozen=True)
@@ -69,6 +84,8 @@ class AwgnSpec:
             raise ConfigError(f"unknown SNR reference {self.reference!r}")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ConfigError("snr_db must not be NaN or -inf (infinite noise)")
+        if self.snr_db != math.inf:
+            _check_db(self.snr_db, "snr_db")
         if self.samples_per_bit <= 0:
             raise ConfigError("samples_per_bit must be positive")
 
@@ -83,22 +100,32 @@ class AwgnSpec:
         return mean_power / ratio
 
 
-def _draw_noise(seed, shape) -> np.ndarray:
-    """Unit-variance-per-rail complex Gaussian draws; see AwgnSpec.seed."""
+def _draw_noise(seed, shape, scale) -> np.ndarray:
+    """scale times unit-variance-per-rail complex Gaussian draws, one scale
+    per row; see AwgnSpec.seed.  Each generator fills its rows' real rails,
+    then their imaginary rails, exactly as standard_normal(rows) +
+    1j * standard_normal(rows) would, through one (2, ...) real buffer."""
     seeds = np.asarray(seed)
     if seeds.ndim < 2:
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if seeds.shape[:-1] != shape[:-1]:
+        draws, draw_shape = [(seed, ...)], shape
+    elif seeds.shape[:-1] != shape[:-1]:
         raise LengthMismatch(
             f"per-row seeds {seeds.shape} do not match frame rows {shape[:-1]}"
         )
-    n = shape[-1]
-    rows = []
-    for row_seed in seeds.reshape(-1, seeds.shape[-1]):
+    else:
+        draws = zip(seeds.reshape(-1, seeds.shape[-1]), np.ndindex(shape[:-1]))
+        draw_shape = shape[-1:]
+    scale = np.asarray(scale)
+    noise = np.empty(shape, dtype=complex)
+    rails = np.empty((2,) + draw_shape)
+    for row_seed, rows in draws:
         rng = np.random.default_rng(row_seed)
-        rows.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return np.reshape(rows, shape)
+        rng.standard_normal(out=rails[0])
+        rng.standard_normal(out=rails[1])
+        rails *= scale[rows][..., None]
+        noise[rows].real = rails[0]
+        noise[rows].imag = rails[1]
+    return noise
 
 
 def awgn(frame: BasebandFrame, spec: AwgnSpec) -> BasebandFrame:
@@ -113,10 +140,9 @@ def awgn(frame: BasebandFrame, spec: AwgnSpec) -> BasebandFrame:
     variance = spec.noise_variance(np.mean(np.abs(samples) ** 2, axis=-1))
     if not np.any(variance):
         return BasebandFrame(samples.copy(), frame.sample_rate, frame.meta)
-    scale = np.sqrt(variance / 2.0)
-    noise = _draw_noise(spec.seed, samples.shape)
-    return BasebandFrame(samples + scale[..., None] * noise, frame.sample_rate,
-                         frame.meta)
+    noisy = _draw_noise(spec.seed, samples.shape, np.sqrt(variance / 2.0))
+    noisy += samples
+    return BasebandFrame(noisy, frame.sample_rate, frame.meta)
 
 
 @dataclass
@@ -159,9 +185,12 @@ class MultipathSpec:
     def ten_path(cls, seed: int = 424242, n_taps: int = 10,
                  decay_db_per_tap: float = 3.0) -> "MultipathSpec":
         """Default static fading profile: one tap per sample, exponentially
-        decaying power (3 dB per tap), seeded uniform phases, unit power."""
+        decaying power (3 dB per tap), seeded uniform phases, unit power.
+        The first and last taps' powers must differ by a ratio a float
+        holds (about 3000 dB)."""
         if n_taps < 1:
             raise ConfigError("channel needs at least one tap")
+        _check_db(abs(decay_db_per_tap) * (n_taps - 1), "channel power span")
         rng = np.random.default_rng(seed)
         delays = np.arange(n_taps)
         amplitude = 10.0 ** (-decay_db_per_tap * delays / 20.0)
@@ -215,6 +244,42 @@ def check_cyclic_prefix(channel: MultipathSpec, cfg: OfdmConfig) -> None:
         )
 
 
+@functools.lru_cache(maxsize=32)
+def _zero_forcing_bins(response_bytes: bytes, m: int, n: int, rolloff, eps):
+    """(occupied bins, channel response on them) for a Fourier body of m
+    bins carrying n subcarriers, built once per impulse response (as
+    bytes), m, n, roll-off and eps, and shared read-only.  Raises
+    SingularChannel when the response falls below eps on an occupied bin."""
+    response = np.fft.fft(np.frombuffer(response_bytes, dtype=complex), n=m)
+    if rolloff is not None:
+        weights = modem.rrc_bin_weights(n, m, rolloff)
+        occupied = np.nonzero(weights > 1e-12)[0]
+    else:
+        occupied = np.concatenate([np.arange(n // 2), np.arange(m - n // 2, m)])
+    gains = response[occupied]
+    if np.any(np.abs(gains) < eps):
+        raise SingularChannel(
+            "channel response below eps on an occupied subcarrier"
+        )
+    occupied.flags.writeable = False
+    gains.flags.writeable = False
+    return occupied, gains
+
+
+@functools.lru_cache(maxsize=32)
+def _deconvolution_filter(response_bytes: bytes, length: int, eps: float):
+    """(conj(H), |H|**2 + eps**2) of the length-bin channel response H,
+    built once per impulse response (as bytes), length and eps, and shared
+    read-only."""
+    response = np.fft.fft(np.frombuffer(response_bytes, dtype=complex),
+                          n=length)
+    numerator = np.conj(response)
+    denominator = np.abs(response) ** 2 + eps**2
+    numerator.flags.writeable = False
+    denominator.flags.writeable = False
+    return numerator, denominator
+
+
 def equalize(frame: BasebandFrame, channel: MultipathSpec, cfg: OfdmConfig,
              eps: float = 1e-6) -> np.ndarray:
     """Perfect-CSI zero-forcing equalization, then demodulation to symbols.
@@ -229,37 +294,31 @@ def equalize(frame: BasebandFrame, channel: MultipathSpec, cfg: OfdmConfig,
     domain with an eps**2 Tikhonov floor (the chain has no prefix), then
     demodulated normally.
 
-    A block of frames (..., length) gives a block of symbol rows.
+    A block of frames (..., length) gives a block of symbol rows.  The
+    channel's frequency response is computed once per (taps, length) and
+    reused by every later block.
     """
     samples = np.atleast_1d(np.asarray(frame.samples, dtype=complex))
+    response_bytes = channel.impulse_response().tobytes()
     if cfg.transform == FOURIER:
         m = cfg.body_length
         start = cfg.cp_length
         if samples.shape[-1] < start + m:
             raise LengthMismatch("frame shorter than cyclic prefix plus body")
-        body = samples[..., start:start + m]
-        response = np.fft.fft(channel.impulse_response(), n=m)
-        n = cfg.n_subcarriers
-        if cfg.tx_rolloff is not None:
-            weights = modem.rrc_bin_weights(n, m, cfg.tx_rolloff)
-            occupied = np.nonzero(weights > 1e-12)[0]
-        else:
-            occupied = np.concatenate([np.arange(n // 2),
-                                       np.arange(m - n // 2, m)])
-        if np.any(np.abs(response[occupied]) < eps):
-            raise SingularChannel(
-                "channel response below eps on an occupied subcarrier"
-            )
+        occupied, gains = _zero_forcing_bins(
+            response_bytes, m, cfg.n_subcarriers, cfg.tx_rolloff, eps
+        )
         check_cyclic_prefix(channel, cfg)
-        spectrum = np.fft.fft(body, norm="ortho")
-        spectrum[..., occupied] /= response[occupied]
+        spectrum = np.fft.fft(samples[..., start:start + m], norm="ortho")
+        spectrum[..., occupied] /= gains
         return _unprecode(modem._fourier_bins(spectrum, cfg), cfg)
     # wavelet-packet: regularized full-frame deconvolution
-    length = samples.shape[-1]
-    response = np.fft.fft(channel.impulse_response(), n=length)
-    spectrum = np.fft.fft(samples)
-    deconv = spectrum * np.conj(response) / (np.abs(response) ** 2 + eps**2)
-    body = np.fft.ifft(deconv)[..., :cfg.body_length]
-    return ofdm_demodulate(
-        BasebandFrame(body, frame.sample_rate, cfg), cfg
+    numerator, denominator = _deconvolution_filter(
+        response_bytes, samples.shape[-1], eps
     )
+    spectrum = np.fft.fft(samples)
+    spectrum *= numerator
+    spectrum /= denominator
+    body = np.fft.ifft(spectrum)[..., :cfg.body_length]
+    del spectrum  # freed before the demodulator allocates
+    return ofdm_demodulate(BasebandFrame(body, frame.sample_rate, cfg), cfg)

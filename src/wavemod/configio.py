@@ -17,15 +17,6 @@ from .errors import ConfigError
 TOOL_VERSION = "0.1.0"
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"cannot parse boolean from {text!r}")
-
-
 def _parse_float(text: str) -> float:
     try:
         return float(text)
@@ -47,11 +38,17 @@ def _parse_finite(text: str) -> float:
     return value
 
 
+# Most values a start:stop:step range may hold.
+MAX_RANGE_VALUES = 10**6
+
+
 def parse_float_list(text: str) -> list[float]:
     """Comma list ('1,2,3') or range ('start:stop:step', stop inclusive).
 
     Every value is finite, except that a list item written `inf` (or
-    `+inf`) is +inf; NaN and -inf are configuration errors.
+    `+inf`) is +inf; NaN and -inf are configuration errors.  So are a
+    range of more than MAX_RANGE_VALUES values, found before any value is
+    built, and a range whose step is too small to move its values.
     """
     text = text.strip()
     if ":" in text:
@@ -61,15 +58,26 @@ def parse_float_list(text: str) -> list[float]:
         start, stop, step = (_parse_finite(p) for p in parts)
         if step <= 0:
             raise ConfigError("range step must be positive")
+        # the value count, with the loop's 1e-12 slack, before any value
+        if not (stop + 1e-12 - start) / step < MAX_RANGE_VALUES:
+            raise ConfigError(
+                f"range {text!r} holds more than {MAX_RANGE_VALUES} values"
+            )
         values = []
+        previous = None
         k = 0
         while True:
             v = start + k * step
             if v > stop + 1e-12:
-                break
+                return values
+            if v == previous:
+                raise ConfigError(
+                    f"range {text!r} repeats values: its step is below "
+                    f"their resolution"
+                )
             values.append(round(v, 12))
+            previous = v
             k += 1
-        return values
     out = []
     for item in text.split(","):
         item = item.strip()

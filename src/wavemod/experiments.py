@@ -221,7 +221,14 @@ def run_ber_fading(cfg: ExperimentConfig) -> ResultTable:
     profile = _channel_profile(cfg)
     for chain in systems.values():
         channelmod.check_cyclic_prefix(profile, chain)
-    samples_per_bit = cfg.modem_oversampling / spec.bits_per_symbol
+    # every Eb/N0 point is checked before the first trial
+    noise_levels = [
+        channelmod.AwgnSpec(
+            snr_db=ebn0, reference=channelmod.EB_PER_BIT,
+            samples_per_bit=cfg.modem_oversampling / spec.bits_per_symbol,
+        )
+        for ebn0 in ebn0_grid
+    ]
     bits_per_frame = cfg.modem_n_subcarriers * spec.bits_per_symbol
 
     results = {}
@@ -229,23 +236,20 @@ def run_ber_fading(cfg: ExperimentConfig) -> ResultTable:
         chain = systems[name]
         payloads = metrics.TrialBits([cfg.seed, s_index],
                                      [len(ebn0_grid), n_frames], bits_per_frame)
-        for e_index, ebn0 in enumerate(ebn0_grid):
+        for e_index, noise in enumerate(noise_levels):
             errors = 0
             for trials in metrics.trial_blocks(n_frames, chain.frame_length):
                 bits = payloads(e_index, trials)
+                # one name, so each stage's input is freed once it is done,
+                # and the last is freed before the next block is modulated
                 frame = modem.ofdm_modulate(modem.map_bits(bits, spec), chain)
-                faded = channelmod.apply_multipath(frame, profile)
-                noisy = channelmod.awgn(
-                    faded,
-                    channelmod.AwgnSpec(
-                        snr_db=ebn0,
-                        seed=[[cfg.seed, s_index, e_index, trial, 1]
-                              for trial in trials],
-                        reference=channelmod.EB_PER_BIT,
-                        samples_per_bit=samples_per_bit,
-                    ),
-                )
-                estimate = channelmod.equalize(noisy, profile, chain)
+                frame = channelmod.apply_multipath(frame, profile)
+                frame = channelmod.awgn(frame, dataclasses.replace(
+                    noise, seed=[[cfg.seed, s_index, e_index, trial, 1]
+                                 for trial in trials],
+                ))
+                estimate = channelmod.equalize(frame, profile, chain)
+                del frame
                 errors += int(np.sum(modem.demap_symbols(estimate, spec) != bits))
             results[(name, e_index)] = errors
 
@@ -350,16 +354,19 @@ def run_spectral_efficiency_table(cfg: ExperimentConfig) -> ResultTable:
 def run_modgauss_report(cfg: ExperimentConfig) -> ResultTable:
     """Orthonormality residual, sidelobe level and 99% bandwidth per sigma*T,
     with truncated root-raised-cosine reference rows."""
-    sigma_values = parse_float_list(cfg.mg_sigma_t)
+    # every width is checked before the first row is computed
+    widths = [
+        waveletdesign.ModifiedGaussianParams(
+            sigma=sigma_t, symbol_period=1.0, l_max=cfg.mg_l_max
+        )
+        for sigma_t in parse_float_list(cfg.mg_sigma_t)
+    ]
     table = ResultTable(
         columns=["system", "parameter", "orthonormality_residual",
                  "sidelobe_db", "occupied_bw_99"],
         provenance=provenance_for(cfg, "modgauss-report"),
     )
-    for sigma_t in sigma_values:
-        params = waveletdesign.ModifiedGaussianParams(
-            sigma=sigma_t, symbol_period=1.0, l_max=cfg.mg_l_max
-        )
+    for params in widths:
         residual = waveletdesign.lattice_orthonormality_residual(
             params, cfg.mg_grid_points
         )
@@ -375,7 +382,7 @@ def run_modgauss_report(cfg: ExperimentConfig) -> ResultTable:
             resolution_bw=df,
         )
         bandwidth = metrics.occupied_bandwidth(estimate, 0.99)
-        table.add_row("modgauss", sigma_t, residual, sidelobe, bandwidth)
+        table.add_row("modgauss", params.sigma, residual, sidelobe, bandwidth)
     for rolloff in parse_float_list(cfg.mg_srrc_rolloffs):
         pulse = waveletdesign.root_raised_cosine_pulse(rolloff)
         estimate = pulse_set_psd([pulse], [1.0])

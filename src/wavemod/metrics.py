@@ -33,10 +33,12 @@ def papr_db(frame: BasebandFrame):
     A float for one frame; for a block (..., n) an array of one PAPR per row.
     """
     x = np.asarray(frame.samples)
-    power = x.real**2 + x.imag**2
-    if power.size == 0 or not np.all(np.any(power > 0, axis=-1)):
+    power = x.real**2
+    power += x.imag**2
+    peak = np.max(power, axis=-1, initial=0.0)
+    if power.size == 0 or not np.all(peak > 0):
         raise ZeroEnergy("PAPR undefined for an empty or silent frame")
-    ratio = 10.0 * np.log10(np.max(power, axis=-1) / np.mean(power, axis=-1))
+    ratio = 10.0 * np.log10(peak / np.mean(power, axis=-1))
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
@@ -86,14 +88,17 @@ class CcdfCurve:
 
 
 # Monte-Carlo loops push blocks of trials through the chains; a block holds
-# about this many bytes of complex samples (8 frames of 2048 samples).
-# Per-trial seeding makes every output byte independent of the block size.
-# It stays at 256 KiB for memory: on the papr-tx benchmark (2 vCPUs, 6
-# alternating pairs, with the allocator thresholds experiments.py fixes)
-# twice this (16 frames) ran 15% more frames/s (10363 -> 11927 median,
-# faster in all 6) but raised peak RSS by 1.3 MB (+3.2%), most of the
-# benchmark's 5% bound on that metric.
-_BLOCK_BYTES = 1 << 18
+# about this many bytes of complex samples (16 frames of 2048 samples, 14 of
+# 2304).  Per-trial seeding makes every output byte independent of the block
+# size.  The size is set by memory: each chain stage writes only into arrays
+# it allocated and frees its block-sized temporaries before the next, so a
+# warm study peaks at 2.5 blocks of traced memory in papr-ccdf and 4.0 in
+# ber-fading (4.6 and 8.1 with the stages' earlier temporaries, which held
+# the block at 256 KiB).  On the benchmark (2 vCPUs, 10 alternating pairs)
+# this size ran papr-tx at 12513 frames/s against 10447 for 256 KiB blocks
+# with those temporaries (faster in 10 of 10), for +0.63 MB (+1.6%) peak RSS;
+# ber-link (5 pairs) ran 16% more frames/s for +0.16 MB.
+_BLOCK_BYTES = 1 << 19
 
 
 def trial_blocks(count: int, frame_length: int):

@@ -117,7 +117,7 @@ def map_bits(bits, spec: ConstellationSpec) -> np.ndarray:
 
     Maps the last axis: (..., n_bits) bits give (..., n_bits / k) symbols.
     """
-    bits = np.atleast_1d(np.asarray(bits)).astype(np.int64)
+    bits = np.atleast_1d(np.asarray(bits)).astype(np.int64, copy=False)
     k = spec.bits_per_symbol
     if bits.shape[-1] % k != 0:
         raise BitCountMismatch(f"{bits.shape[-1]} bits not divisible by {k}")
@@ -131,11 +131,24 @@ def map_bits(bits, spec: ConstellationSpec) -> np.ndarray:
 def demap_symbols(symbols, spec: ConstellationSpec) -> np.ndarray:
     """Hard-decision minimum-distance demapping back to bits.
 
-    Demaps the last axis: (..., n) symbols give (..., n * k) bits.
+    Demaps the last axis: (..., n) symbols give (..., n * k) bits.  Each
+    symbol takes the first alphabet point at its least distance, as argmin
+    over the (..., n, alphabet) distances would, one alphabet point at a
+    time.
     """
     symbols = np.atleast_1d(np.asarray(symbols, dtype=complex))
-    dist = np.abs(symbols[..., None] - spec.alphabet)
-    index = np.argmin(dist, axis=-1)
+    alphabet = spec.alphabet
+    diff = symbols - alphabet[0]
+    best = np.abs(diff)
+    index = np.zeros(symbols.shape, dtype=np.intp)
+    dist = np.empty_like(best)
+    closer = np.empty(best.shape, dtype=bool)
+    for point in range(1, len(alphabet)):
+        np.subtract(symbols, alphabet[point], out=diff)
+        np.abs(diff, out=dist)
+        np.less(dist, best, out=closer)
+        np.copyto(index, point, where=closer)
+        np.copyto(best, dist, where=closer)
     k = spec.bits_per_symbol
     bits = np.empty(index.shape + (k,), dtype=np.int64)
     for b in range(k):
@@ -304,14 +317,16 @@ def interpolation_filter(os: int, half_width: int = 32) -> np.ndarray:
 
 
 def _rescale(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Scale each row of y to the l2 norm of the same row of x (silent rows
-    of y stay).  Every block size uses the same row-wise norm: the 1-D
-    np.linalg.norm call sums in another order than axis=-1."""
+    """Scale each row of y, in place, to the l2 norm of the same row of x
+    (silent rows of y stay) and return y, which must be an array the
+    caller allocated.  Every block size uses the same row-wise norm: the
+    1-D np.linalg.norm call sums in another order than axis=-1."""
     target = np.linalg.norm(x, axis=-1)
     norm_y = np.linalg.norm(y, axis=-1)
     silent = norm_y == 0.0
     gain = target / np.where(silent, 1.0, norm_y)
-    return np.where(silent[..., None], y, y * gain[..., None])
+    np.multiply(y, gain[..., None], out=y, where=~silent[..., None])
+    return y
 
 
 @functools.lru_cache(maxsize=32)
@@ -331,9 +346,13 @@ def _fir_interpolate(x: np.ndarray, os: int) -> np.ndarray:
     """Polyphase interpolation, circular, rescaled to preserve energy."""
     if os == 1:
         return x.copy()
-    # a zero-stuffed row's spectrum is its own spectrum tiled os times
-    spectrum = np.tile(np.fft.fft(x), os)
-    y = np.fft.ifft(spectrum * _fir_kernel_spectrum(x.shape[-1] * os, os))
+    # a zero-stuffed row's spectrum is its own spectrum tiled os times:
+    # (..., 1, n) rows times the (os, n) kernel, with no tiled copy
+    n = x.shape[-1]
+    kernel = _fir_kernel_spectrum(n * os, os).reshape(os, n)
+    spectrum = np.fft.fft(x)[..., None, :] * kernel
+    y = np.fft.ifft(spectrum.reshape(x.shape[:-1] + (n * os,)))
+    del spectrum  # freed before the rescale allocates
     return _rescale(y, x)
 
 
@@ -341,7 +360,7 @@ def _fir_decimate(y: np.ndarray, os: int) -> np.ndarray:
     """Inverse of :func:`_fir_interpolate` (exact in the noiseless case)."""
     if os == 1:
         return y.copy()
-    return _rescale(y[..., ::os], y)
+    return _rescale(y[..., ::os].copy(), y)  # y is the caller's
 
 
 # --- multicarrier chains ---------------------------------------------------------
@@ -501,8 +520,13 @@ def ofdm_modulate(symbols, cfg: OfdmConfig) -> BasebandFrame:
     else:
         body = _synthesize_body(_precode(symbols, cfg), cfg)
     cp = cfg.cp_length
-    samples = np.concatenate([body[..., -cp:], body], axis=-1) if cp else body
-    return BasebandFrame(samples=samples, sample_rate=float(cfg.body_length),
+    if cp:
+        samples = np.empty(body.shape[:-1] + (cp + body.shape[-1],),
+                           dtype=complex)
+        samples[..., cp:] = body
+        samples[..., :cp] = body[..., -cp:]
+        body = samples
+    return BasebandFrame(samples=body, sample_rate=float(cfg.body_length),
                          meta=cfg)
 
 

@@ -17,6 +17,7 @@ Two construction routes live here:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,13 @@ from .errors import (
     UndersampledMother,
 )
 from .filterbank import WaveletFilterPair
+
+
+# Widest sigma * symbol_period whose smallest lattice term, exp(-2 pi^2
+# (sigma T)^2) at the band edge, is still a normal float.  Past it the
+# orthonormality residual degrades (1.3e-5 at 6.1 against 5e-14 at 6.0),
+# and from about 6.15 the term underflows to 0 and the spectrum reads 0/0.
+_MAX_SIGMA_T = math.sqrt(-math.log(sys.float_info.min) / (2.0 * math.pi**2))
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,11 @@ class ModifiedGaussianParams:
             raise ConfigError("symbol period must be positive")
         if self.l_max < 1:
             raise ConfigError("l_max must be >= 1")
+        if not self.sigma_t <= _MAX_SIGMA_T:
+            raise ConfigError(
+                f"sigma * symbol_period must be at most {_MAX_SIGMA_T:.4g}, "
+                f"got {self.sigma_t!r}"
+            )
 
     @property
     def sigma_t(self) -> float:

@@ -87,10 +87,36 @@ class TestAwgn:
         with pytest.raises(ConfigError):
             ch.AwgnSpec(snr_db=1.0, reference="snr-per-baud")
 
-    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf"),
+                                        1e308, -1e308, 3100.0, -3100.0])
     def test_nan_and_infinite_noise_rejected(self, snr_db):
+        """NaN, -inf, and levels whose 10**(snr_db/10) leaves the normal
+        floats (an OverflowError, or noise of infinite variance)."""
         with pytest.raises(ConfigError):
             ch.AwgnSpec(snr_db=snr_db)
+
+    @pytest.mark.parametrize("shape", [(64,), (3, 64), (2, 2, 16)])
+    def test_one_seed_draws_real_rails_then_imaginary_rails(self, shape):
+        """One generator for the whole block: the bits of
+        scale * (standard_normal(shape) + 1j * standard_normal(shape))."""
+        scale = np.linspace(0.5, 2.0, math.prod(shape[:-1])).reshape(shape[:-1])
+        rng = np.random.default_rng([4, 2])
+        want = scale[..., None] * (rng.standard_normal(shape)
+                                   + 1j * rng.standard_normal(shape))
+        assert_array_equal(ch._draw_noise([4, 2], shape, scale), want)
+
+    def test_row_seeds_draw_each_row_alone(self):
+        """Per-row seeds: row b has the bits of its own generator's
+        standard_normal(n) + 1j * standard_normal(n), times its scale."""
+        seeds = [[9, row, 1] for row in range(4)]
+        scale = np.array([1.0, 0.25, 3.0, 1e-3])
+        got = ch._draw_noise(np.reshape(seeds, (2, 2, 3)), (2, 2, 32),
+                             scale.reshape(2, 2))
+        for row, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            want = scale[row] * (rng.standard_normal(32)
+                                 + 1j * rng.standard_normal(32))
+            assert_array_equal(got.reshape(4, 32)[row], want)
 
 
 class TestMultipath:
@@ -143,6 +169,16 @@ class TestMultipath:
         assert abs(np.sum(power) - 1.0) < 1e-12
         ratios = power[1:] / power[:-1]
         assert_allclose(ratios, 10.0 ** (-0.3), atol=1e-12)
+
+    @pytest.mark.parametrize("decay_db, n_taps", [
+        (float("nan"), 10), (float("inf"), 1), (1e308, 10), (-400.0, 10),
+        (400.0, 10), (1.0, 5000),
+    ])
+    def test_profile_beyond_float_range_rejected(self, decay_db, n_taps):
+        """First and last tap powers must differ by a ratio a float holds,
+        or the profile overflows (with numpy warnings) or is NaN."""
+        with pytest.raises(ConfigError):
+            ch.MultipathSpec.ten_path(n_taps=n_taps, decay_db_per_tap=decay_db)
 
     def test_profile_validation(self):
         with pytest.raises(ConfigError):
@@ -282,3 +318,59 @@ def test_block_equals_row_by_row_bit_for_bit(cfg):
         for got, want in zip(block, single):
             assert_array_equal(got[row], want)
     assert block[-1].shape == bits.shape
+
+
+@pytest.mark.parametrize("cfg", _block_cases())
+def test_chain_stages_leave_their_inputs_unchanged(cfg):
+    """A stage writes only into arrays it allocated: read-only inputs
+    raise on any write, and each input keeps its bytes."""
+    profile = ch.MultipathSpec.ten_path()
+    rng = np.random.default_rng(17)
+    symbols = rng.standard_normal((3, cfg.n_subcarriers)) * (1 + 1j)
+
+    def frozen(array):
+        array = np.array(array)
+        array.flags.writeable = False
+        return array
+
+    def unchanged(fn, array, *args):
+        before = array.copy()
+        out = fn(array, *args)
+        assert_array_equal(array, before)
+        return out
+
+    def framed(fn):
+        return lambda samples, *args: fn(
+            modem.BasebandFrame(samples, float(cfg.body_length), cfg), *args
+        )
+
+    sent = unchanged(modem.ofdm_modulate, frozen(symbols), cfg).samples
+    unchanged(framed(modem.ofdm_demodulate), frozen(sent), cfg)
+    faded = unchanged(framed(ch.apply_multipath), frozen(sent), profile).samples
+    spec = ch.AwgnSpec(snr_db=6.0, seed=[[17, row] for row in range(3)])
+    noisy = unchanged(framed(ch.awgn), frozen(faded), spec).samples
+    unchanged(framed(ch.equalize), frozen(noisy), profile, cfg)
+
+
+@pytest.mark.parametrize("name", ["ofdm", "wpm"])
+def test_channel_response_is_computed_once_per_taps_and_length(name):
+    """Later blocks reuse the response-derived arrays, which are read-only
+    because every caller shares them."""
+    cfg = experiments.system_configs(configio.ExperimentConfig())[name]
+    profile = ch.MultipathSpec.ten_path()
+    frame = ch.apply_multipath(modem.ofdm_modulate(np.ones(512), cfg), profile)
+    response = profile.impulse_response().tobytes()
+    if name == "ofdm":
+        cache = ch._zero_forcing_bins
+        key = (response, cfg.body_length, cfg.n_subcarriers, None, 1e-6)
+    else:
+        cache = ch._deconvolution_filter
+        key = (response, frame.samples.shape[-1], 1e-6)
+    cache.cache_clear()
+    for _ in range(3):
+        ch.equalize(frame, profile, cfg)
+    assert cache.cache_info().hits == 2
+    assert cache.cache_info().misses == 1
+    for array in cache(*key):
+        assert not array.flags.writeable
+    assert cache.cache_info().misses == 1

@@ -2,11 +2,14 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +89,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             configio.parse_float_list("1:2:0")
         for text in ("nan", "1, -inf", "1e999", "-Infinity"):
+            with pytest.raises(ConfigError):
+                configio.parse_float_list(text)
+
+    def test_range_value_count_is_bounded(self):
+        """A range's count is checked before any value is built, so huge
+        ranges fail at once instead of filling memory."""
+        limit = configio.MAX_RANGE_VALUES
+        assert len(configio.parse_float_list(f"1:{limit}:1")) == limit
+        for text in (f"0:{limit}:1", "0:1e308:1", "-1e308:1e308:1e300",
+                     "0:0:1e-300", "1e300:1e300:1", "1e20:1e20:1"):
             with pytest.raises(ConfigError):
                 configio.parse_float_list(text)
 
@@ -321,8 +334,20 @@ class TestCli:
         (["ber-fading", "--trials", "1"], "modem.cp_fraction = 0"),
         (["papr-ccdf"], "modem.tx_rolloff = nan"),
         (["ber-fading"], "channel.taps = -1"),
+        (["papr-ccdf"], "papr.thresholds_db = 0:1e308:1"),
+        (["papr-ccdf"], "papr.thresholds_db = 1e20:1e20:1"),
+        (["ber-fading"], "ber.ebn0_db = 1e308"),
+        (["ber-fading"], "ber.ebn0_db = 0,-1e308"),
+        (["modgauss-report"], "modgauss.sigma_t = 1e308"),
+        (["modgauss-report"], "modgauss.sigma_t = 0.5,7"),
+        (["ber-fading"], "channel.decay_db = 1e308"),
+        (["ber-fading"], "channel.decay_db = -400"),
+        (["ber-fading"], "channel.decay_db = nan"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, args, line):
+        """Exit 2 with one error line; a numpy warning on the way is an
+        error here, so the value must be rejected before it reaches numpy."""
         if line is not None:
             path = tmp_path / "range.cfg"
             path.write_text(line + "\n")
@@ -385,6 +410,44 @@ class TestCli:
         cli.main(["papr-ccdf", "--trials", "60", "--out", str(a)])
         cli.main(["papr-ccdf", "--trials", "60", "--seed", "1", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+
+_REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+
+@pytest.mark.skipif(not _REFERENCES.exists(), reason="no benchmark references")
+@pytest.mark.parametrize("study, trials", [("papr-ccdf", "250"), ("ber-fading", "16")])
+@pytest.mark.parametrize("seed", ["20110223", "1"])
+def test_benchmark_studies_match_their_recorded_hashes(study, trials, seed):
+    """The benchmark's recorded CSV sha256 (read-only here), so a change
+    that moves a byte of the block-sized chains fails in the suite."""
+    digest = json.loads(_REFERENCES.read_text())[study][trials][seed]
+    cfg = cfg_with(experiment=study, n_trials=int(trials), seed=int(seed))
+    csv = experiments.run_experiment(cfg).to_csv().encode()
+    assert hashlib.sha256(csv).hexdigest() == digest
+
+
+@pytest.mark.parametrize("study, trials, bound", [
+    ("papr-ccdf", 32, 3.0),
+    ("ber-fading", 16, 5.0),
+])
+def test_block_working_set_is_bounded(study, trials, bound):
+    """Peak traced bytes of a warm study, whose blocks are the largest
+    allocations, stay under bound * _BLOCK_BYTES (2.5 for papr-ccdf and 4.0
+    for ber-fading, measured with numpy 2.4).  A stage that keeps more
+    block-sized temporaries alive at its peak, such as the FIR
+    interpolator's tiled spectrum next to its product, crosses it.  The
+    first run fills the caches (filter spectra, the channel response) that
+    later runs share."""
+    cfg = cfg_with(experiment=study, n_trials=trials)
+    experiments.run_experiment(cfg)
+    tracemalloc.start()
+    try:
+        experiments.run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * metrics._BLOCK_BYTES
 
 
 class TestAllocatorThresholds:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from wavemod import channel as ch
 from wavemod import filterbank as fb
@@ -70,6 +70,26 @@ class TestConstellations:
             nearest = np.nonzero(np.isclose(dist, dist.min()))[0]
             for j in nearest:
                 assert bin(i ^ j).count("1") == 1
+
+    @pytest.mark.parametrize("kind", ["bpsk", "qpsk", "qam16"])
+    def test_demap_equals_argmin_over_all_distances(self, kind):
+        """The alphabet loop picks what argmin over the (..., n, M)
+        distance array picks, exact ties (midpoints, the origin, the axes,
+        non-finite symbols) included: the first nearest point."""
+        spec = modem.constellation(kind)
+        a = spec.alphabet
+        rng = np.random.default_rng(len(a))
+        ties = np.concatenate([
+            a, ((a[:, None] + a[None, :]) / 2).ravel(),
+            [0.0, 1.0, -1.0, 1j, -1j, 0.5, -0.5j, np.inf, -np.inf,
+             complex(np.inf, 1.0), complex(np.nan, 0.0), 1e300 + 1e300j],
+        ])
+        noisy = rng.standard_normal((4, 256)) + 1j * rng.standard_normal((4, 256))
+        for symbols in (ties, noisy, noisy[0]):
+            index = np.argmin(np.abs(symbols[..., None] - a), axis=-1)
+            want = (index[..., None] >> np.arange(spec.bits_per_symbol)[::-1]) & 1
+            want = want.reshape(symbols.shape[:-1] + (-1,))
+            assert_array_equal(modem.demap_symbols(symbols, spec), want)
 
     def test_roundtrip_qam16(self):
         spec = modem.constellation("qam16")

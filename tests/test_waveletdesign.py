@@ -42,6 +42,16 @@ class TestAmplitudeSpectrum:
         with pytest.raises(ConfigError):
             wd.ModifiedGaussianParams(sigma=0.5, l_max=0)
 
+    @pytest.mark.parametrize("sigma, period", [(6.0, 1.0), (3.0, 2.0),
+                                               (1e308, 1.0), (1e200, 1e200)])
+    def test_width_beyond_the_lattice_float_range_rejected(self, sigma, period):
+        """sigma * T above 5.99 puts the band-edge lattice term below the
+        normal floats: a 1.3e-5 residual at 6.1, 0/0 from 6.15 on."""
+        with pytest.raises(ConfigError):
+            wd.ModifiedGaussianParams(sigma=sigma, symbol_period=period)
+        params = wd.ModifiedGaussianParams(sigma=wd._MAX_SIGMA_T)
+        assert wd.lattice_orthonormality_residual(params, 2_000) < 1e-12
+
     def test_tail_bound_reported(self):
         params = wd.ModifiedGaussianParams(sigma=0.25, l_max=8)
         assert params.tail_bound < 1e-14
