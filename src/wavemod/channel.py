@@ -86,7 +86,7 @@ class AwgnSpec:
             raise ConfigError("snr_db must not be NaN or -inf (infinite noise)")
         if self.snr_db != math.inf:
             _check_db(self.snr_db, "snr_db")
-        if self.samples_per_bit <= 0:
+        if not self.samples_per_bit > 0:
             raise ConfigError("samples_per_bit must be positive")
 
     def noise_variance(self, mean_power):
@@ -162,6 +162,8 @@ class MultipathSpec:
             raise ConfigError("channel needs at least one tap")
         if self.tap_delays[0] != 0 or np.any(np.diff(self.tap_delays) < 0):
             raise ConfigError("tap delays must be nondecreasing and start at 0")
+        if not np.all(np.isfinite(self.tap_gains)):
+            raise ConfigError("tap gains must be finite")
         if self.normalize:
             power = float(np.sum(np.abs(self.tap_gains) ** 2))
             if power == 0.0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, NamedTuple
 
 from .errors import ConfigError
 
@@ -140,73 +141,91 @@ class ExperimentConfig:
     mg_srrc_rolloffs: str = "0.22,0.5"
 
     def __post_init__(self):
-        for key, minimum in _MINIMUMS.items():
-            value = getattr(self, _KEY_MAP[key][0])
-            if value < minimum:
-                raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-        for key in _FLOAT_LISTS:
-            values = parse_float_list(getattr(self, _KEY_MAP[key][0]))
-            if key in _NONEMPTY_LISTS and not values:
-                raise ConfigError(f"{key} must hold at least one value")
-            if key != _INF_LIST and math.inf in values:
-                raise ConfigError(f"{key} must be finite (only {_INF_LIST} takes inf)")
+        for key, (name, _, rule) in SCHEMA.items():
+            value = getattr(self, name)
+            if rule is not None and not rule.check(value):
+                raise ConfigError(f"{key} must be {rule.text}, got {value!r}")
 
 
-_KEY_MAP = {
-    "experiment": ("experiment", str),
-    "seed": ("seed", _parse_int),
-    "trials": ("n_trials", _parse_int),
-    "out": ("output_path", str),
-    "modem.n_subcarriers": ("modem_n_subcarriers", _parse_int),
-    "modem.wavelet": ("modem_wavelet", str),
-    "modem.levels": ("modem_levels", _parse_int),
-    "modem.oversampling": ("modem_oversampling", _parse_int),
-    "modem.cp_fraction": ("modem_cp_fraction", _parse_float),
-    "modem.constellation": ("modem_constellation", str),
-    "modem.wpm_interp": ("modem_wpm_interp", str),
-    "modem.sc_precoder": ("modem_sc_precoder", str),
-    "modem.tx_rolloff": ("modem_tx_rolloff", _parse_float),
-    "papr.thresholds_db": ("papr_thresholds_db", str),
-    "evm.wavelet": ("evm_wavelet", str),
-    "evm.oversampling": ("evm_oversampling", _parse_int),
-    "evm.cutoffs": ("evm_cutoffs", str),
-    "channel.profile": ("channel_profile", str),
-    "channel.seed": ("channel_seed", _parse_int),
-    "channel.taps": ("channel_taps", _parse_int),
-    "channel.decay_db": ("channel_decay_db", _parse_float),
-    "ber.ebn0_db": ("ber_ebn0_db", str),
-    "ber.wpm_interp": ("ber_wpm_interp", str),
-    "se.families": ("se_families", str),
-    "se.dyadics": ("se_dyadics", _parse_int),
-    "se.rc_rolloff": ("se_rc_rolloff", _parse_float),
-    "se.cascade_iterations": ("se_cascade_iterations", _parse_int),
-    "modgauss.sigma_t": ("mg_sigma_t", str),
-    "modgauss.l_max": ("mg_l_max", _parse_int),
-    "modgauss.grid_points": ("mg_grid_points", _parse_int),
-    "modgauss.srrc_rolloffs": ("mg_srrc_rolloffs", str),
+class Rule(NamedTuple):
+    """A bound on one key's value.  check(value) holds inside it; text ends
+    "<key> must be <text>" in the ConfigError and fills the README's bounds
+    column; edges are config texts on the bound and one step past it."""
+
+    check: Callable[[Any], bool]
+    text: str
+    edges: tuple[str, ...]
+
+
+def _at_least(minimum: int) -> Rule:
+    return Rule(lambda v: v >= minimum, f">= {minimum}", (str(minimum), str(minimum - 1)))
+
+
+def _number_list(items: str, item_ok, edges: tuple[str, ...], nonempty=True) -> Rule:
+    """A parse_float_list text whose values all pass item_ok.  The lists that
+    are a study's table rows are non-empty, or its CSV would be a header."""
+
+    def check(text: str) -> bool:
+        values = parse_float_list(text)
+        return (bool(values) or not nonempty) and all(map(item_ok, values))
+
+    return Rule(check, f"a {'non-empty ' * nonempty}list of {items}",
+                edges + ("",) * nonempty)
+
+
+_PRECODERS = Rule(lambda v: v in ("wpt", "dwt"), "wpt or dwt", ("wpt", "dwt", ""))
+_DYADICS = Rule(lambda v: v in (0, 1, 2), "0, 1 or 2", ("0", "2", "-1", "3"))
+_NUMBER = Rule(lambda v: not math.isnan(v), "a number", ("-inf", "inf", "nan"))
+_NAMES = Rule(lambda text: bool(parse_str_list(text)), "a non-empty list of wavelet names",
+              ("haar", ","))
+_FINITE = ("finite numbers", math.isfinite, ("-1e308", "1e308", "inf"))
+# inf is a noiseless Eb/N0 point, the one list where it means something
+_EBN0 = ("finite numbers or inf", lambda v: v > -math.inf, ("-1e308", "inf", "-inf"))
+_CUTOFFS = ("numbers in (0, 1]", lambda c: 0.0 < c <= 1.0,
+            ("0", "5e-324", "1", "1.0000000000000002"))
+_FINITE_LIST = _number_list(*_FINITE, nonempty=False)
+
+# Every config key: its ExperimentConfig field, the parser of its file text
+# and its rule, None where only a library class bounds the value.  A rule
+# bounds one key alone, whichever study runs.  Rules across keys (the cyclic
+# prefix against the channel memory, oversampling >= 1 + roll-off) and the
+# bounds a library class checks itself (OfdmConfig, AwgnSpec,
+# MultipathSpec.ten_path, ModifiedGaussianParams, make_filter,
+# constellation) stay there.  Below its minimum a seed or size would fail
+# inside numpy or math.log2 instead of with a ConfigError.
+SCHEMA = {
+    "experiment": ("experiment", str, None),
+    "seed": ("seed", _parse_int, _at_least(0)),
+    "trials": ("n_trials", _parse_int, _at_least(0)),
+    "out": ("output_path", str, None),
+    "modem.n_subcarriers": ("modem_n_subcarriers", _parse_int, _at_least(1)),
+    "modem.wavelet": ("modem_wavelet", str, None),
+    "modem.levels": ("modem_levels", _parse_int, None),
+    "modem.oversampling": ("modem_oversampling", _parse_int, None),
+    "modem.cp_fraction": ("modem_cp_fraction", _parse_float, None),
+    "modem.constellation": ("modem_constellation", str, None),
+    "modem.wpm_interp": ("modem_wpm_interp", str, None),
+    "modem.sc_precoder": ("modem_sc_precoder", str, _PRECODERS),
+    "modem.tx_rolloff": ("modem_tx_rolloff", _parse_float, _NUMBER),
+    "papr.thresholds_db": ("papr_thresholds_db", str, _number_list(*_FINITE)),
+    "evm.wavelet": ("evm_wavelet", str, None),
+    "evm.oversampling": ("evm_oversampling", _parse_int, None),
+    "evm.cutoffs": ("evm_cutoffs", str, _number_list(*_CUTOFFS)),
+    "channel.profile": ("channel_profile", str, None),
+    "channel.seed": ("channel_seed", _parse_int, _at_least(0)),
+    "channel.taps": ("channel_taps", _parse_int, None),
+    "channel.decay_db": ("channel_decay_db", _parse_float, None),
+    "ber.ebn0_db": ("ber_ebn0_db", str, _number_list(*_EBN0)),
+    "ber.wpm_interp": ("ber_wpm_interp", str, None),
+    "se.families": ("se_families", str, _NAMES),
+    "se.dyadics": ("se_dyadics", _parse_int, _DYADICS),
+    "se.rc_rolloff": ("se_rc_rolloff", _parse_float, None),
+    "se.cascade_iterations": ("se_cascade_iterations", _parse_int, None),
+    "modgauss.sigma_t": ("mg_sigma_t", str, _FINITE_LIST),
+    "modgauss.l_max": ("mg_l_max", _parse_int, None),
+    "modgauss.grid_points": ("mg_grid_points", _parse_int, _at_least(1)),
+    "modgauss.srrc_rolloffs": ("mg_srrc_rolloffs", str, _FINITE_LIST),
 }
-
-# Lower bound of each integer key that has one.  Below it a study would
-# fail inside numpy (a negative generator seed, an empty grid) or math.log2
-# instead of with a ConfigError.
-_MINIMUMS = {
-    "seed": 0,
-    "trials": 0,
-    "channel.seed": 0,
-    "modem.n_subcarriers": 1,
-    "modgauss.grid_points": 1,
-}
-
-# Every key holding a number list (read with parse_float_list).
-_FLOAT_LISTS = ("papr.thresholds_db", "evm.cutoffs", "ber.ebn0_db",
-                "modgauss.sigma_t", "modgauss.srrc_rolloffs")
-
-# Number lists that are a study's table rows: empty, the study would write
-# a CSV holding only its header.
-_NONEMPTY_LISTS = ("papr.thresholds_db", "evm.cutoffs", "ber.ebn0_db")
-
-# The one number list where inf means something: a noiseless Eb/N0 point.
-_INF_LIST = "ber.ebn0_db"
 
 
 def read_config_file(path) -> dict:
@@ -228,10 +247,10 @@ def config_from_mapping(raw: dict, base: ExperimentConfig | None = None) -> Expe
     cfg = base or ExperimentConfig()
     updates = {}
     for key, text in raw.items():
-        if key not in _KEY_MAP:
+        if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        name, parser = _KEY_MAP[key]
-        updates[name] = parser(text)
+        name, parse, _ = SCHEMA[key]
+        updates[name] = parse(text)
     return replace(cfg, **updates)
 
 
@@ -257,17 +276,10 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
+    """%.12g for a float (inf, -inf and nan spelled so), 1/0 for a bool."""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int,)):
-        return str(value)
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
         return f"{value:.12g}"
     return str(value)
 

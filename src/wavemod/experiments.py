@@ -46,11 +46,6 @@ from .errors import ConfigError
 SYSTEM_ORDER = ("wpm", "ofdm", "sc_wpm", "sc_ofdm")
 
 
-def _trial_count(cfg: ExperimentConfig, default: int) -> int:
-    """The configured trial count, or the study's default when it is 0."""
-    return cfg.n_trials or default
-
-
 def _levels(cfg: ExperimentConfig) -> int:
     if cfg.modem_levels > 0:
         return cfg.modem_levels
@@ -58,36 +53,24 @@ def _levels(cfg: ExperimentConfig) -> int:
 
 
 def system_configs(cfg: ExperimentConfig) -> dict:
-    """The four compared transmitters, keyed wpm / ofdm / sc_wpm / sc_ofdm."""
-    pair = filterbank.make_filter(cfg.modem_wavelet)
-    n = cfg.modem_n_subcarriers
-    levels = _levels(cfg)
-    os_ = cfg.modem_oversampling
+    """The four compared transmitters, keyed wpm / ofdm / sc_wpm / sc_ofdm;
+    each single-carrier system is its multicarrier one with a precoder."""
+    n, os_ = cfg.modem_n_subcarriers, cfg.modem_oversampling
     wpm = modem.OfdmConfig(
-        n, modem.WAVELET_PACKET, pair, levels, oversampling=os_,
-        cp_fraction=0.0, wpm_interp=cfg.modem_wpm_interp,
+        n, modem.WAVELET_PACKET, filterbank.make_filter(cfg.modem_wavelet),
+        _levels(cfg), oversampling=os_, wpm_interp=cfg.modem_wpm_interp,
     )
-    if math.isnan(cfg.modem_tx_rolloff):
-        raise ConfigError("modem.tx_rolloff must be a number, got nan")
     rolloff = cfg.modem_tx_rolloff if cfg.modem_tx_rolloff >= 0.0 else None
     ofdm = modem.OfdmConfig(
         n, modem.FOURIER, oversampling=os_, cp_fraction=cfg.modem_cp_fraction,
         tx_rolloff=rolloff,
     )
-    if cfg.modem_sc_precoder not in (modem.PRECODER_WPT, modem.PRECODER_DWT):
-        raise ConfigError(
-            f"modem.sc_precoder must be wpt or dwt, got {cfg.modem_sc_precoder!r}"
-        )
-    sc_wpm = modem.OfdmConfig(
-        n, modem.WAVELET_PACKET, pair, levels, oversampling=os_,
-        cp_fraction=0.0, precoder=cfg.modem_sc_precoder,
-        wpm_interp=cfg.modem_wpm_interp,
-    )
-    sc_ofdm = modem.OfdmConfig(
-        n, modem.FOURIER, oversampling=os_, cp_fraction=cfg.modem_cp_fraction,
-        precoder=modem.PRECODER_DFT, tx_rolloff=rolloff,
-    )
-    return {"wpm": wpm, "ofdm": ofdm, "sc_wpm": sc_wpm, "sc_ofdm": sc_ofdm}
+    return {
+        "wpm": wpm,
+        "ofdm": ofdm,
+        "sc_wpm": dataclasses.replace(wpm, precoder=cfg.modem_sc_precoder),
+        "sc_ofdm": dataclasses.replace(ofdm, precoder=modem.PRECODER_DFT),
+    }
 
 
 def _channel_profile(cfg: ExperimentConfig) -> channelmod.MultipathSpec:
@@ -110,7 +93,7 @@ def run_papr_ccdf_compare(cfg: ExperimentConfig) -> ResultTable:
     """CCDF of per-symbol PAPR for the four compared systems."""
     spec = modem.constellation(cfg.modem_constellation)
     thresholds = np.asarray(parse_float_list(cfg.papr_thresholds_db))
-    n_trials = _trial_count(cfg, 10_000)
+    n_trials = cfg.n_trials or 10_000
     systems = system_configs(cfg)
     curves = {
         name: metrics.papr_ccdf(systems[name], spec, n_trials, thresholds,
@@ -158,9 +141,7 @@ def run_evm_bandwidth_sweep(cfg: ExperimentConfig) -> ResultTable:
     """
     spec = modem.constellation(cfg.modem_constellation)
     cutoffs = parse_float_list(cfg.evm_cutoffs)
-    if any(c <= 0.0 or c > 1.0 for c in cutoffs):
-        raise ConfigError("cutoffs must lie in (0, 1]")
-    n_frames = _trial_count(cfg, 100)
+    n_frames = cfg.n_trials or 100
     n = cfg.modem_n_subcarriers
     levels = int(round(math.log2(n)))
     ft = modem.OfdmConfig(
@@ -209,7 +190,7 @@ def run_ber_fading(cfg: ExperimentConfig) -> ResultTable:
     """
     spec = modem.constellation(cfg.modem_constellation)
     ebn0_grid = parse_float_list(cfg.ber_ebn0_db)
-    n_frames = _trial_count(cfg, 50)
+    n_frames = cfg.n_trials or 50
     systems = system_configs(cfg)
     # BER runs want every block unitary so the Eb/N0 axis means the same
     # thing for all four systems; the FIR interpolator's plain decimation
@@ -315,10 +296,6 @@ def run_spectral_efficiency_table(cfg: ExperimentConfig) -> ResultTable:
     Bandwidth is 99% power containment of the deterministic pulse-set PSD.
     """
     families = parse_str_list(cfg.se_families)
-    if not families:
-        raise ConfigError("se.families must name at least one wavelet")
-    if not 0 <= cfg.se_dyadics <= 2:
-        raise ConfigError("se.dyadics must be 0, 1 or 2")
     ladder = {0: "wavelet-1", 1: "wavelet-1.5", 2: "wavelet-1.75"}
     entries = []
     primary = families[0]

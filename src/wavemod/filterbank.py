@@ -225,11 +225,11 @@ def analysis_step(x, pair: WaveletFilterPair):
     the bits of a call on that frame alone.  The bits also depend on the
     BLAS build.
 
-    Raises BadLength for an empty input and OddLength for an odd n.
+    Raises BadLength for an empty or 0-d input and OddLength for an odd n.
     """
     x = np.asarray(x)
-    if x.size == 0:
-        raise BadLength(f"empty input of shape {x.shape}")
+    if x.size == 0 or x.ndim == 0:
+        raise BadLength(f"empty or 0-d input of shape {x.shape}")
     n = x.shape[-1]
     if n % 2 != 0:
         raise OddLength(f"signal length {n} is odd")
@@ -309,7 +309,7 @@ def synthesis_step(a, d, pair: WaveletFilterPair):
     strided window view (rows 1 sample apart, taps -1), as stacked analysis
     does; stacked one-sample bands take gathered windows, which numpy sends
     to dot.  So every frame of a block of any size gives the bits of a call
-    on that frame alone.  Raises BadLength for empty subbands.
+    on that frame alone.  Raises BadLength for empty or 0-d subbands.
     """
     a = np.asarray(a)
     d = np.asarray(d)
@@ -317,8 +317,8 @@ def synthesis_step(a, d, pair: WaveletFilterPair):
         raise LengthMismatch(
             f"approximation shape {a.shape} != detail shape {d.shape}"
         )
-    if a.size == 0:
-        raise BadLength(f"empty subbands of shape {a.shape}")
+    if a.size == 0 or a.ndim == 0:
+        raise BadLength(f"empty or 0-d subbands of shape {a.shape}")
     half = a.shape[-1]
     n = 2 * half
     out = np.empty(a.shape[:-1] + (n,), dtype=np.result_type(a, d, pair.h))
@@ -402,7 +402,7 @@ def dwt(x, pair: WaveletFilterPair, levels: int) -> SubbandSet:
     Bands are ordered coarsest first: [a_J, d_J, d_{J-1}, ..., d_1].
     """
     x = np.asarray(x)
-    band_lengths(DWT_PRUNED, levels, x.shape[-1])
+    band_lengths(DWT_PRUNED, levels, x.shape[-1] if x.ndim else 0)
     details = []
     approx = x[..., None, :]  # one band per frame, the path of a row call
     for _ in range(levels):
@@ -430,7 +430,7 @@ def wpt(x, pair: WaveletFilterPair, levels: int) -> SubbandSet:
     length, so each level is one batched analysis call.
     """
     x = np.asarray(x)
-    band_lengths(WPT_FULL, levels, x.shape[-1])
+    band_lengths(WPT_FULL, levels, x.shape[-1] if x.ndim else 0)
     stack = x[..., None, :]
     for _ in range(levels):
         a, d = analysis_step(stack, pair)

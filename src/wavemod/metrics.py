@@ -236,6 +236,8 @@ def papr_ccdf(cfg: OfdmConfig, spec: ConstellationSpec, n_symbols: int,
     """
     if n_symbols < 1:
         raise ConfigError("need at least one symbol")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     thresholds_db = np.asarray(thresholds_db, dtype=float)
     counts = np.zeros(len(thresholds_db), dtype=np.int64)
     payloads = TrialBits([seed], [n_symbols],
@@ -368,8 +370,8 @@ def occupied_bandwidth(estimate: PsdEstimate, containment: float = 0.99) -> floa
         raise ConfigError("containment must be in (0, 1)")
     power = estimate.power_linear()
     total = float(np.sum(power))
-    if total <= 0.0:
-        raise ZeroBandwidth("spectrum carries no power")
+    if not total > 0.0:
+        raise ZeroBandwidth(f"spectrum carries no power (total {total})")
     centroid = float(np.sum(estimate.freqs * power) / total)
     distance = np.abs(estimate.freqs - centroid)
     order = np.argsort(distance)
@@ -386,8 +388,8 @@ def occupied_bandwidth(estimate: PsdEstimate, containment: float = 0.99) -> floa
 
 def spectral_efficiency(bit_rate: float, bandwidth: float) -> float:
     """Bit rate divided by occupied bandwidth, in b/s/Hz."""
-    if bandwidth <= 0.0:
-        raise ZeroBandwidth("bandwidth must be positive")
+    if not bandwidth > 0.0:
+        raise ZeroBandwidth(f"bandwidth must be positive, got {bandwidth}")
     return float(bit_rate) / float(bandwidth)
 
 

@@ -29,6 +29,7 @@ positive rail, the in-phase rail carries the first bit(s).
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,9 +177,9 @@ class OfdmConfig:
 
     def __post_init__(self):
         n = self.n_subcarriers
-        if n < 2 or (n & (n - 1)) != 0:
+        if not isinstance(n, numbers.Integral) or n < 2 or (n & (n - 1)) != 0:
             raise ConfigInvariantViolated(
-                f"subcarrier count {n} is not a power of two"
+                f"subcarrier count {n!r} is not an integer power of two"
             )
         if self.transform not in (FOURIER, WAVELET_PACKET):
             raise ConfigInvariantViolated(f"unknown transform {self.transform!r}")

@@ -61,6 +61,9 @@ class TestAwgn:
         ))
         measured = np.mean(np.abs(out.samples - frame.samples) ** 2)
         assert abs(measured - 4.0) < 0.05
+        with pytest.raises(ConfigError):  # NaN fails `<= 0` but not `> 0`
+            ch.AwgnSpec(snr_db=0.0, reference=ch.EB_PER_BIT,
+                        samples_per_bit=math.nan)
 
     def test_noise_follows_each_rows_own_power(self):
         """A row with 10x the power of another gets 10x the noise variance,
@@ -185,6 +188,8 @@ class TestMultipath:
             ch.MultipathSpec(tap_delays=[1, 2], tap_gains=[1.0, 0.5])
         with pytest.raises(LengthMismatch):
             ch.MultipathSpec(tap_delays=[0], tap_gains=[1.0, 0.5])
+        with pytest.raises(ConfigError):  # before normalizing warns
+            ch.MultipathSpec(tap_delays=[0], tap_gains=[math.nan])
 
     def test_profile_file_roundtrip(self, tmp_path):
         spec = ch.MultipathSpec.ten_path(seed=10)

@@ -140,9 +140,15 @@ class TestAnalysisSynthesis:
         lambda pair: fb.analysis_step(np.zeros((2, 2, 0)), pair),
         lambda pair: fb.synthesis_step(np.zeros((2, 0)), np.zeros((2, 0)), pair),
         lambda pair: fb.synthesis_step(np.zeros((0, 4)), np.zeros((0, 4)), pair),
+        lambda pair: fb.wpt(np.float64(1.0), pair, 1),
+        lambda pair: fb.dwt(np.float64(1.0), pair, 1),
+        lambda pair: fb.analysis_step(np.float64(1.0), pair),
+        lambda pair: fb.synthesis_step(np.float64(1.0), np.float64(1.0), pair),
     ], ids=["wpt", "dwt", "no-bands", "no-samples", "synthesis-no-samples",
-            "synthesis-no-frames"])
+            "synthesis-no-frames", "wpt-0d", "dwt-0d", "analysis-0d",
+            "synthesis-0d"])
     def test_empty_input_is_bad_length(self, call):
+        """Empty inputs, and 0-d ones, which have no samples axis."""
         for name in ALL_FAMILIES:
             with pytest.raises(BadLength):
                 call(fb.make_filter(name))

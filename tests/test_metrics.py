@@ -156,6 +156,8 @@ class TestTrialBits:
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError):
             metrics.TrialBits([-1], [2], 8)
+        with pytest.raises(ConfigError):
+            metrics.papr_ccdf(modem.OfdmConfig(64), QPSK, 2, [6.0], seed=-1)
 
     def test_papr_ccdf_wide_seed_matches_per_trial_reference(self):
         cfg = modem.OfdmConfig(64)
@@ -368,6 +370,10 @@ class TestOccupiedBandwidth:
         )
         with pytest.raises(ConfigError):
             metrics.occupied_bandwidth(est, 1.5)
+        with pytest.raises(ZeroBandwidth):
+            metrics.occupied_bandwidth(metrics.PsdEstimate(
+                freqs=est.freqs, power_db=np.full(11, np.nan), resolution_bw=0.1,
+            ))
 
 
 class TestSpectralEfficiency:
@@ -377,6 +383,8 @@ class TestSpectralEfficiency:
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ZeroBandwidth):
             metrics.spectral_efficiency(1.0, 0.0)
+        with pytest.raises(ZeroBandwidth):
+            metrics.spectral_efficiency(1.0, np.nan)
 
 
 class TestCsvExports:

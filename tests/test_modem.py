@@ -112,6 +112,8 @@ class TestOfdmConfig:
     def test_power_of_two_required(self):
         with pytest.raises(ConfigInvariantViolated):
             modem.OfdmConfig(n_subcarriers=96)
+        with pytest.raises(ConfigInvariantViolated):
+            modem.OfdmConfig(n_subcarriers=64.0)
 
     def test_wavelet_packet_rejects_cp(self):
         with pytest.raises(ConfigInvariantViolated):
