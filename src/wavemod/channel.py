@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -51,6 +52,23 @@ def _check_db(value_db: float, what: str) -> None:
         )
 
 
+def _check_seed(seed) -> None:
+    """Raise ConfigError unless seed is a non-negative integer or an
+    array-like of them (an int too wide for int64 is an object element)."""
+    try:
+        seeds = np.asarray(seed)
+    except ValueError:  # ragged rows
+        ok = False
+    else:
+        if seeds.dtype == object:
+            ok = all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+                     for v in seeds.flat)
+        else:
+            ok = seeds.dtype.kind in "iu" and seeds.min(initial=0) >= 0
+    if not ok:
+        raise ConfigError(f"noise seeds must be non-negative integers, got {seed!r:.60}")
+
+
 @dataclass(frozen=True)
 class AwgnSpec:
     """Noise level with an explicit SNR interpretation.
@@ -71,7 +89,8 @@ class AwgnSpec:
     instead be a 2-D (B, k) integer array-like: row b draws its noise from
     its own generator seeded seed[b], exactly as awgn on that frame alone
     with seed=seed[b].  A 2-D array is never a valid seed sequence, so the
-    two forms cannot be confused.
+    two forms cannot be confused.  Every seed is a non-negative integer, or
+    ConfigError is raised.
     """
 
     snr_db: float
@@ -88,6 +107,7 @@ class AwgnSpec:
             _check_db(self.snr_db, "snr_db")
         if not self.samples_per_bit > 0:
             raise ConfigError("samples_per_bit must be positive")
+        _check_seed(self.seed)
 
     def noise_variance(self, mean_power):
         """Noise variance per sample for a measured mean power (float, or
@@ -139,10 +159,10 @@ def awgn(frame: BasebandFrame, spec: AwgnSpec) -> BasebandFrame:
         raise EmptyFrame("cannot add noise to an empty frame")
     variance = spec.noise_variance(np.mean(np.abs(samples) ** 2, axis=-1))
     if not np.any(variance):
-        return BasebandFrame(samples.copy(), frame.sample_rate, frame.meta)
+        return BasebandFrame(samples.copy(), frame.sample_rate)
     noisy = _draw_noise(spec.seed, samples.shape, np.sqrt(variance / 2.0))
     noisy += samples
-    return BasebandFrame(noisy, frame.sample_rate, frame.meta)
+    return BasebandFrame(noisy, frame.sample_rate)
 
 
 @dataclass
@@ -233,7 +253,7 @@ def apply_multipath(frame: BasebandFrame, spec: MultipathSpec) -> BasebandFrame:
     out = np.zeros(x.shape[:-1] + (n + spec.max_delay,), dtype=complex)
     for delay, gain in zip(spec.tap_delays, spec.tap_gains):
         out[..., delay:delay + n] += gain * x
-    return BasebandFrame(out, frame.sample_rate, frame.meta)
+    return BasebandFrame(out, frame.sample_rate)
 
 
 def check_cyclic_prefix(channel: MultipathSpec, cfg: OfdmConfig) -> None:
@@ -323,4 +343,4 @@ def equalize(frame: BasebandFrame, channel: MultipathSpec, cfg: OfdmConfig,
     spectrum /= denominator
     body = np.fft.ifft(spectrum)[..., :cfg.body_length]
     del spectrum  # freed before the demodulator allocates
-    return ofdm_demodulate(BasebandFrame(body, frame.sample_rate, cfg), cfg)
+    return ofdm_demodulate(BasebandFrame(body, frame.sample_rate), cfg)

@@ -143,7 +143,11 @@ class ExperimentConfig:
     def __post_init__(self):
         for key, (name, _, rule) in SCHEMA.items():
             value = getattr(self, name)
-            if rule is not None and not rule.check(value):
+            try:
+                ok = rule is None or rule.check(value)
+            except ConfigError as exc:  # a list rule's parser names the text
+                raise ConfigError(f"{key}: {exc}") from exc
+            if not ok:
                 raise ConfigError(f"{key} must be {rule.text}, got {value!r}")
 
 
@@ -250,7 +254,10 @@ def config_from_mapping(raw: dict, base: ExperimentConfig | None = None) -> Expe
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         name, parse, _ = SCHEMA[key]
-        updates[name] = parse(text)
+        try:
+            updates[name] = parse(text)
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     return replace(cfg, **updates)
 
 

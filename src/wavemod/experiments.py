@@ -162,7 +162,7 @@ def run_evm_bandwidth_sweep(cfg: ExperimentConfig) -> ResultTable:
             frame = modem.ofdm_modulate(symbols, chain)
             estimates = modem.ofdm_demodulate(
                 modem.BasebandFrame(_brickwall(frame.samples, cutoffs),
-                                    frame.sample_rate, chain),
+                                    frame.sample_rate),
                 chain,
             )
             total[:, column] += metrics.evm(estimates, symbols)

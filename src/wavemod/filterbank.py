@@ -143,12 +143,13 @@ def list_families() -> list[str]:
     return names
 
 
-# The index tables depend only on (row length, taps), and a transform at J
-# levels needs J of them, so each is built once and shared read-only.
+# The index tables depend only on their shape arguments, and a transform at
+# J levels needs J of them, so each is built once and shared read-only.
 @functools.lru_cache(maxsize=128)
-def _gather_index(n: int, taps: int) -> np.ndarray:
-    # row k holds the circular sample indices feeding output coefficient k
-    idx = (np.arange(taps)[None, :] + 2 * np.arange(n // 2)[:, None]) % n
+def _window_index(n: int, width: int, row_step: int, tap_step: int) -> np.ndarray:
+    # row r holds the circular sample indices r * row_step + p * tap_step
+    rows, taps = np.arange(n // row_step)[:, None], np.arange(width)[None, :]
+    idx = (row_step * rows + tap_step * taps) % n
     idx.flags.writeable = False
     return idx
 
@@ -161,18 +162,11 @@ def _padded_index(n: int, lead: int, length: int) -> np.ndarray:
     return idx
 
 
-@functools.lru_cache(maxsize=128)
-def _synthesis_index(half: int, taps: int) -> np.ndarray:
-    # row m holds the subband indices m - p (circular) for polyphase tap p
-    idx = (np.arange(half)[:, None] - np.arange(taps)[None, :]) % half
-    idx.flags.writeable = False
-    return idx
-
-
-# Most multiply-adds one gemv of the one-band gather path may run.
-# OpenBLAS 0.3.31 hands a zgemv of 4096 or more to its thread pool, whose
-# worker then spins between calls; below that it runs on the calling thread
-# (measured on 2 vCPUs: CPU/wall 1.0 for a 204 x 20 zgemv, 2.0 for 205 x 20).
+# Most multiply-adds one gemv of the one-band path may run, and one gather of
+# one-window bands may hold.  OpenBLAS 0.3.31 hands a zgemv of 4096 or more
+# to its thread pool, whose worker then spins between calls; below that it
+# runs on the calling thread (measured on 2 vCPUs: CPU/wall 1.0 for a
+# 204 x 20 zgemv, 2.0 for 205 x 20).
 _GEMV_SLICE_MACS = 4095
 
 
@@ -196,91 +190,70 @@ def _window_view(x, width: int, row_step: int, tap_step: int) -> np.ndarray:
     return view
 
 
-def analysis_step(x, pair: WaveletFilterPair):
-    """One decimating analysis step: a[k] = sum_n h[n-2k] x[n], same for g.
-
-    Uses periodic extension.  Accepts (..., n) arrays and returns a pair of
-    (..., n/2) arrays.
+def _windowed_products(x, width: int, row_step: int, tap_step: int, taps):
+    """``windows @ t`` for each t in taps, each of shape (..., n // row_step),
+    where window r of the (..., n) array x is
+    ``x[..., (r * row_step + p * tap_step) % n]`` for p < width.
 
     The last two axes of an input with two or more axes are one frame's
-    (bands, n) stack; the axes before them only count frames.
+    (bands, n) stack; the axes before them only count frames.  The path, and
+    so the summation order, follows the frame shape, never the frame count:
 
-    Summation order: a two-tap pair runs elementwise on the even and odd
-    samples, a = even*h[0] + odd*h[1].  Longer pairs take a windowed
-    product whose path follows the frame shape, never the frame count:
+    * stacked bands of two or more windows: numpy's in-order non-BLAS loop,
+      one matmul per tap vector over the read-only :func:`_window_view`;
+    * one window per band (two-sample analysis, one-sample synthesis): a
+      dot per band, on windows copied with each frame's bands innermost (the
+      layout of ``frame[..., idx]``), gathered a few frames at a time under
+      ``_GEMV_SLICE_MACS`` multiply-adds, which bounds their memory.  A
+      strided dot's bits do not depend on its stride, only on the stride not
+      being 1, and one band's copy has unit stride, as a row call has;
+    * one band of two or more windows (a 1-D input, or a frame stack of one
+      band): the sliced 2-D BLAS gemvs of :func:`_one_band_gemv`.
 
-    * one band of n > 2 samples (a 1-D input, or a frame stack of one
-      band): 2-D BLAS gemvs of gathered windows, ``windows @ h``, over the
-      rows of every frame, in slices of at most ``_GEMV_SLICE_MACS``
-      multiply-adds, so OpenBLAS never wakes its thread pool;
-    * stacked bands of n > 2 samples: numpy's in-order non-BLAS loop, one
-      matmul per filter over a read-only strided window view of a
-      circularly padded copy (rows 2 samples apart, so no gathered copy);
-    * n == 2: a dot per band.
-
-    A complex gemv row gives the same bits for any row count of two or
-    more (numpy sends a one-row product to dot, so no slice has one row),
-    and a real gemv sums in groups of 4 rows, which every slice and every
-    gathered frame starts on, so every frame of a block of any size gives
-    the bits of a call on that frame alone.  The bits also depend on the
-    BLAS build.
-
-    Raises BadLength for an empty or 0-d input and OddLength for an odd n.
+    A complex gemv row gives the same bits for any row count of two or more
+    (numpy sends a one-row product to dot, so no slice has one row), and a
+    real gemv sums in groups of 4 rows, which every slice and every gathered
+    frame starts on, so every frame of a block of any size gives the bits of
+    a call on that frame alone.  The bits also depend on the BLAS build.
     """
-    x = np.asarray(x)
-    if x.size == 0 or x.ndim == 0:
-        raise BadLength(f"empty or 0-d input of shape {x.shape}")
     n = x.shape[-1]
-    if n % 2 != 0:
-        raise OddLength(f"signal length {n} is odd")
-    if pair.length == 2:
-        even, odd = x[..., 0::2], x[..., 1::2]
-        h, g = pair.h, pair.g
-        return even * h[0] + odd * h[1], even * g[0] + odd * g[1]
-    if n > 2 and x.ndim > 1 and x.shape[-2] > 1:
-        # windows[..., k, p] = x[..., 2k + p]
-        windows = _window_view(x, pair.length, 2, 1)
-        return windows @ pair.h, windows @ pair.g
-    idx = _gather_index(n, pair.length)
+    rows = n // row_step
+    if rows > 1 and x.ndim > 1 and x.shape[-2] > 1:
+        windows = _window_view(x, width, row_step, tap_step)
+        return [windows @ t for t in taps]
+    idx = _window_index(n, width, row_step, tap_step)
+    out_shape = x.shape[:-1] + (rows,)
+    if rows > 1:
+        return [out.reshape(out_shape) for out in _one_band_gemv(x.reshape(-1, n), idx, taps)]
     frames = x.reshape((-1,) + (x.shape[-2:] if x.ndim > 1 else (1, n)))
-    out_shape = x.shape[:-1] + (n // 2,)
-    if n > 2:
-        a, d = _one_band_gemv(frames[:, 0, :], idx, (pair.h, pair.g))
-        return a.reshape(out_shape), d.reshape(out_shape)
-    a = np.empty(frames.shape[:-1] + (n // 2,), dtype=np.result_type(x, pair.h))
-    d = np.empty_like(a)
     per_gather = max(1, _GEMV_SLICE_MACS // (frames.shape[1] * idx.size))
+    chunks = []
     for f in range(0, len(frames), per_gather):
-        # two-sample bands: (frames, bands, 1, L) windows with each frame's
-        # bands innermost, the layout of frame[..., idx], so matmul runs a
-        # dot per band; gathered a few frames at a time, which bounds the
-        # windows' memory
+        # (frames, bands, 1, width) windows, bands innermost in memory
         block = frames[f:f + per_gather].swapaxes(-1, -2)
         windows = np.take(block, idx, axis=-2).transpose(0, 3, 1, 2)
-        a[f:f + per_gather] = windows @ pair.h
-        d[f:f + per_gather] = windows @ pair.g
-    return a.reshape(out_shape), d.reshape(out_shape)
+        chunks.append([windows @ t for t in taps])
+    return [np.concatenate(c).reshape(out_shape) for c in zip(*chunks)]
 
 
 def _one_band_gemv(rows, idx, taps):
     """``windows @ t`` for each t in taps, as flat arrays, where windows are
     the (frames * len(idx), width) gathered windows ``rows[:, idx]`` of
-    (frames, samples) one-band rows.
+    (frames, samples) one-band rows, with two or more windows a frame.
 
     Runs 2-D gemvs of at most ``_GEMV_SLICE_MACS`` multiply-adds (8 rows
     for windows wider than 256) over whole groups of 4 rows and at least
-    two rows; a frame of one window gets a dot.  Windows are gathered one
-    frame at a time, or as many whole frames at a time as one gemv takes
-    when every frame starts a group of 4 rows."""
+    two rows.  Windows are gathered one frame at a time, or as many whole
+    frames at a time as one gemv takes when every frame starts a group of 4
+    rows."""
     half, width = idx.shape
     dtype = np.result_type(rows, *taps)
     outs = [np.empty(len(rows) * half, dtype=dtype) for _ in taps]
     step = max(8, (_GEMV_SLICE_MACS // width) & ~3)  # whole groups of 4 rows
-    # a frame of one window is gathered alone: numpy sends its one-row
-    # product to dot, as in a call on that frame.  So is a real frame of
-    # rows that do not fill whole groups of 4: a real gemv sums in groups of
-    # 4 rows, and a frame's rows then fall in the groups of its own call.
-    alone = half == 1 or (dtype.kind != "c" and half % 4 != 0)
+    # a real gemv sums in groups of 4 rows, so a real frame of rows that do
+    # not fill whole groups is gathered alone: its rows then fall in the
+    # groups of its own call
+    alone = dtype.kind != "c" and half % 4 != 0
     per_gather = 1 if alone else max(1, step // half)
     for f in range(0, len(rows), per_gather):
         windows = np.take(rows[f:f + per_gather], idx, axis=-1).reshape(-1, width)
@@ -294,6 +267,30 @@ def _one_band_gemv(rows, idx, taps):
     return outs
 
 
+def analysis_step(x, pair: WaveletFilterPair):
+    """One decimating analysis step: a[k] = sum_n h[n-2k] x[n], same for g.
+
+    Uses periodic extension.  Accepts (..., n) arrays and returns a pair of
+    (..., n/2) arrays, frames laid out as in :func:`_windowed_products`.
+    A two-tap pair runs elementwise on the even and odd samples,
+    a = even*h[0] + odd*h[1]; a longer pair takes the windowed products of
+    windows x[..., 2k + p], whose summation order that function sets.
+
+    Raises BadLength for an empty or 0-d input and OddLength for an odd n.
+    """
+    x = np.asarray(x)
+    if x.size == 0 or x.ndim == 0:
+        raise BadLength(f"empty or 0-d input of shape {x.shape}")
+    if x.shape[-1] % 2 != 0:
+        raise OddLength(f"signal length {x.shape[-1]} is odd")
+    if pair.length == 2:
+        even, odd = x[..., 0::2], x[..., 1::2]
+        h, g = pair.h, pair.g
+        return even * h[0] + odd * h[1], even * g[0] + odd * g[1]
+    a, d = _windowed_products(x, pair.length, 2, 1, (pair.h, pair.g))
+    return a, d
+
+
 def synthesis_step(a, d, pair: WaveletFilterPair):
     """Inverse of :func:`analysis_step` (adjoint of the orthogonal analysis).
 
@@ -302,14 +299,11 @@ def synthesis_step(a, d, pair: WaveletFilterPair):
 
         x[2m + r] = sum_p h[2p + r] a[m - p] + g[2p + r] d[m - p].
 
-    Frames are laid out as in :func:`analysis_step`.  Longer pairs take
-    windows of L/2 subband samples: one band (a 1-D input, or a frame stack
-    of one band) runs the sliced gemvs of the analysis one-band path;
-    stacked bands of half > 1 samples run one matmul per tap vector over a
-    strided window view (rows 1 sample apart, taps -1), as stacked analysis
-    does; stacked one-sample bands take gathered windows, which numpy sends
-    to dot.  So every frame of a block of any size gives the bits of a call
-    on that frame alone.  Raises BadLength for empty or 0-d subbands.
+    Frames are laid out as in :func:`analysis_step`.  Longer pairs take the
+    windowed products of windows of L/2 subband samples, a[..., m - p], once
+    for a and once for d, so every frame of a block of any size gives the
+    bits of a call on that frame alone.  Raises BadLength for empty or 0-d
+    subbands.
     """
     a = np.asarray(a)
     d = np.asarray(d)
@@ -319,30 +313,16 @@ def synthesis_step(a, d, pair: WaveletFilterPair):
         )
     if a.size == 0 or a.ndim == 0:
         raise BadLength(f"empty or 0-d subbands of shape {a.shape}")
-    half = a.shape[-1]
-    n = 2 * half
-    out = np.empty(a.shape[:-1] + (n,), dtype=np.result_type(a, d, pair.h))
+    out = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=np.result_type(a, d, pair.h))
+    h, g = pair.h, pair.g
     if pair.length == 2:
-        h, g = pair.h, pair.g
         out[..., 0::2] = a * h[0] + d * g[0]
         out[..., 1::2] = a * h[1] + d * g[1]
         return out
-    taps = pair.length // 2
-    idx = _synthesis_index(half, taps)
-    if a.ndim > 1 and a.shape[-2] > 1:
-        if half > 1:  # windows[..., m, p] = a[..., m - p]
-            win_a, win_d = (_window_view(v, taps, 1, -1) for v in (a, d))
-        else:  # dot on gathered one-row windows; the view moves its bits
-            win_a, win_d = a[..., idx], d[..., idx]
-        out[..., 0::2] = win_a @ pair.h[0::2] + win_d @ pair.g[0::2]
-        out[..., 1::2] = win_a @ pair.h[1::2] + win_d @ pair.g[1::2]
-        return out
-    even_a, odd_a = _one_band_gemv(a.reshape(-1, half), idx,
-                                   (pair.h[0::2], pair.h[1::2]))
-    even_d, odd_d = _one_band_gemv(d.reshape(-1, half), idx,
-                                   (pair.g[0::2], pair.g[1::2]))
-    out[..., 0::2] = (even_a + even_d).reshape(a.shape)
-    out[..., 1::2] = (odd_a + odd_d).reshape(a.shape)
+    even_a, odd_a = _windowed_products(a, pair.length // 2, 1, -1, (h[0::2], h[1::2]))
+    even_d, odd_d = _windowed_products(d, pair.length // 2, 1, -1, (g[0::2], g[1::2]))
+    out[..., 0::2] = even_a + even_d
+    out[..., 1::2] = odd_a + odd_d
     return out
 
 

@@ -117,8 +117,19 @@ def map_bits(bits, spec: ConstellationSpec) -> np.ndarray:
     """Map a 0/1 array to unit-average-energy Gray constellation symbols.
 
     Maps the last axis: (..., n_bits) bits give (..., n_bits / k) symbols.
+    Bits are bools, or integers or floats equal to 0 or 1; anything else
+    raises ConfigError.
     """
-    bits = np.atleast_1d(np.asarray(bits)).astype(np.int64, copy=False)
+    bits = np.atleast_1d(np.asarray(bits))
+    kind = bits.dtype.kind
+    if kind in "iu":
+        # 0/1 bits OR to 0 or 1; any other value, a negative too, sets another bit
+        bad = np.bitwise_or.reduce(bits, axis=None) not in (0, 1)
+    else:
+        bad = kind != "b" and not (kind == "f" and np.all((bits == 0) | (bits == 1)))
+    if bad:
+        raise ConfigError("bits must be 0 or 1")
+    bits = bits.astype(np.int64, copy=False)
     k = spec.bits_per_symbol
     if bits.shape[-1] % k != 0:
         raise BitCountMismatch(f"{bits.shape[-1]} bits not divisible by {k}")
@@ -255,7 +266,7 @@ class OfdmConfig:
 
 @dataclass
 class BasebandFrame:
-    """Complex baseband samples with their rate and originating config.
+    """Complex baseband samples with their sample rate.
 
     samples is (n,) for one frame or (..., n) for a block of frames of
     equal length; every chain function acts on the last axis.
@@ -263,7 +274,6 @@ class BasebandFrame:
 
     samples: np.ndarray
     sample_rate: float
-    meta: OfdmConfig | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
@@ -527,8 +537,7 @@ def ofdm_modulate(symbols, cfg: OfdmConfig) -> BasebandFrame:
         samples[..., cp:] = body
         samples[..., :cp] = body[..., -cp:]
         body = samples
-    return BasebandFrame(samples=body, sample_rate=float(cfg.body_length),
-                         meta=cfg)
+    return BasebandFrame(samples=body, sample_rate=float(cfg.body_length))
 
 
 def ofdm_demodulate(frame: BasebandFrame, cfg: OfdmConfig) -> np.ndarray:

@@ -82,6 +82,14 @@ class TestAwgn:
         with pytest.raises(LengthMismatch):
             ch.awgn(block, ch.AwgnSpec(snr_db=5.0, seed=[[1], [2]]))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, [7, -1], [[1, 2], [3, -4]],
+                                      [[1], [2, 3]], [2**70, -1]])
+    def test_negative_or_non_integer_seed_rejected(self, seed):
+        """Every seed form (int, 1-D sequence, 2-D per-row array) fails at
+        construction with a ConfigError, not in numpy's generator."""
+        with pytest.raises(ConfigError):
+            ch.AwgnSpec(snr_db=10.0, seed=seed)
+
     def test_empty_frame_rejected(self):
         with pytest.raises(EmptyFrame):
             ch.awgn(frame_of([]), ch.AwgnSpec(snr_db=10.0))
@@ -346,7 +354,7 @@ def test_chain_stages_leave_their_inputs_unchanged(cfg):
 
     def framed(fn):
         return lambda samples, *args: fn(
-            modem.BasebandFrame(samples, float(cfg.body_length), cfg), *args
+            modem.BasebandFrame(samples, float(cfg.body_length)), *args
         )
 
     sent = unchanged(modem.ofdm_modulate, frozen(symbols), cfg).samples

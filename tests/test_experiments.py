@@ -1,6 +1,7 @@
 """Experiment runners, configuration parsing and the CLI."""
 
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import io
@@ -380,6 +381,7 @@ class TestCli:
         # a key's rule holds whichever study runs
         (["papr-ccdf"], "evm.cutoffs = 2"),
         (["papr-ccdf"], "se.dyadics = 5"),
+        (["papr-ccdf"], "seed = x"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, args, line):
@@ -393,6 +395,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("wavemod: config error:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", ["papr.thresholds_db = nan", "seed = x"])
+    def test_parse_error_names_its_key(self, tmp_path, capsys, line):
+        path = tmp_path / "parse.cfg"
+        path.write_text(line + "\n")
+        assert cli.main(["papr-ccdf", "--config", str(path)]) == 2
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err.startswith(f"wavemod: config error: {key}: ")
 
     def test_short_cyclic_prefix_fails_before_any_trial(self, tmp_path,
                                                          monkeypatch, capsys):
@@ -452,6 +462,26 @@ class TestCli:
 _REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 
+def _bundled_openblas() -> tuple[str, str]:
+    """(core name, config string) of numpy's bundled OpenBLAS, read through
+    ctypes as perfbench/child.py reads the config; "unknown" without it."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so"):
+        lib = ctypes.CDLL(str(path))  # already mapped by numpy: same handle
+        corename = getattr(lib, "scipy_openblas_get_corename64_", None)
+        config = getattr(lib, "scipy_openblas_get_config64_", None)
+        if corename is not None and config is not None:
+            corename.restype = config.restype = ctypes.c_char_p
+            return corename().decode(), config().decode()
+    return "unknown", "unknown"
+
+
+# The evm-sweep CSV prints round-off-level EVM, whose bits follow the BLAS
+# kernel: its references were recorded on OpenBLAS 0.3.31's SkylakeX kernels.
+_CORENAME, _OPENBLAS_CONFIG = _bundled_openblas()
+_EVM_REFERENCE_BLAS = (_CORENAME == "SkylakeX"
+                       and re.match(r"OpenBLAS 0\.3\.31\b", _OPENBLAS_CONFIG) is not None)
+
+
 @pytest.mark.parametrize("study, prefix", [
     ("se-table", "bf3e265290a5702c"),
     ("modgauss-report", "a096cc57786e6b4e"),
@@ -465,7 +495,14 @@ def test_default_csv_matches_its_published_hash(study, prefix):
 
 
 @pytest.mark.skipif(not _REFERENCES.exists(), reason="no benchmark references")
-@pytest.mark.parametrize("study, trials", [("papr-ccdf", "250"), ("ber-fading", "16")])
+@pytest.mark.parametrize("study, trials", [
+    ("papr-ccdf", "250"),
+    ("ber-fading", "16"),
+    pytest.param("evm-sweep", "64", marks=pytest.mark.skipif(
+        not _EVM_REFERENCE_BLAS,
+        reason=f"OpenBLAS {_CORENAME} ({_OPENBLAS_CONFIG}) is not the SkylakeX "
+               "0.3.31 build the evm-sweep references were recorded on")),
+])
 @pytest.mark.parametrize("seed", ["20110223", "1"])
 def test_benchmark_studies_match_their_recorded_hashes(study, trials, seed):
     """The benchmark's recorded CSV sha256 (read-only here), so a change

@@ -287,12 +287,12 @@ def random_block(shape, seed, complex_valued=True):
 
 
 def gathered_analysis(x, pair):
-    windows = x[..., fb._gather_index(x.shape[-1], pair.length)]
+    windows = x[..., fb._window_index(x.shape[-1], pair.length, 2, 1)]
     return windows @ pair.h, windows @ pair.g
 
 
 def gathered_synthesis(a, d, pair):
-    idx = fb._synthesis_index(a.shape[-1], pair.length // 2)
+    idx = fb._window_index(a.shape[-1], pair.length // 2, 1, -1)
     out = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=complex)
     for r in (0, 1):
         out[..., r::2] = a[..., idx] @ pair.h[r::2] + d[..., idx] @ pair.g[r::2]
@@ -340,10 +340,10 @@ class TestTwoTapKernel:
         ]))
 
     @pytest.mark.parametrize("table, args", [
-        (fb._gather_index, (64, 4)),
-        (fb._synthesis_index, (64, 4)),
+        (fb._window_index, (64, 4, 2, 1)),
+        (fb._window_index, (64, 4, 1, -1)),
         (fb._padded_index, (64, 3, 66)),
-    ], ids=["_gather_index", "_synthesis_index", "_padded_index"])
+    ], ids=["_window_index-analysis", "_window_index-synthesis", "_padded_index"])
     def test_index_tables_are_cached_and_read_only(self, table, args):
         first = table(*args)
         assert table(*args) is first
@@ -356,7 +356,7 @@ def row_call_step(x, pair):
     gathered windows for a single band, the in-order tap sum for stacked
     bands, a dot per band for two-sample bands."""
     n = x.shape[-1]
-    windows = x[..., fb._gather_index(n, pair.length)]
+    windows = x[..., fb._window_index(n, pair.length, 2, 1)]
     out = []
     for taps in (pair.h, pair.g):
         if n == 2:
@@ -475,14 +475,14 @@ class TestBatchInvariance:
         step = (fb._GEMV_SLICE_MACS // pair.length) & ~3  # rows per full slice
         n = 2 * (2 * step + 1)  # two full slices and one row left over
         x = random_signal(n, seed=28, complex_valued=complex_valued)
-        windows = x[fb._gather_index(n, pair.length)]
+        windows = x[fb._window_index(n, pair.length, 2, 1)]
         a, d = fb.analysis_step(x, pair)
         assert_array_equal(a, windows @ pair.h)
         assert_array_equal(d, windows @ pair.g)
         # synthesis windows hold L/2 taps, so its slices are twice as long
         half = 2 * ((fb._GEMV_SLICE_MACS // (pair.length // 2)) & ~3) + 1
         a, d = random_block((2, half), seed=29, complex_valued=complex_valued)
-        idx = fb._synthesis_index(half, pair.length // 2)
+        idx = fb._window_index(half, pair.length // 2, 1, -1)
         out = fb.synthesis_step(a, d, pair)
         assert_array_equal(out[0::2], a[idx] @ pair.h[0::2] + d[idx] @ pair.g[0::2])
         assert_array_equal(out[1::2], a[idx] @ pair.h[1::2] + d[idx] @ pair.g[1::2])

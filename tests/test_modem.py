@@ -103,6 +103,16 @@ class TestConstellations:
         with pytest.raises(BitCountMismatch):
             modem.map_bits([0, 1, 0], modem.constellation("qpsk"))
 
+    @pytest.mark.parametrize("bits", [[0.5, 0.5], [2, 3], [-1, 0], ["0", "1"]])
+    def test_bits_other_than_0_and_1_rejected(self, bits):
+        """Not truncated to a symbol, and not an IndexError: a ConfigError.
+        Bool and integer 0/1 bits map unchanged."""
+        spec = modem.constellation("qpsk")
+        with pytest.raises(ConfigError):
+            modem.map_bits(bits, spec)
+        assert_array_equal(modem.map_bits(np.array([True, False]), spec),
+                           modem.map_bits([1, 0], spec))
+
     def test_unknown_constellation(self):
         with pytest.raises(ConfigError):
             modem.constellation("qam4096")
