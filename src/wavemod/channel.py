@@ -251,8 +251,10 @@ def apply_multipath(frame: BasebandFrame, spec: MultipathSpec) -> BasebandFrame:
             f"max delay {spec.max_delay} >= frame length {n}"
         )
     out = np.zeros(x.shape[:-1] + (n + spec.max_delay,), dtype=complex)
+    product = np.empty_like(x)  # one buffer for every tap's product
     for delay, gain in zip(spec.tap_delays, spec.tap_gains):
-        out[..., delay:delay + n] += gain * x
+        np.multiply(gain, x, out=product)
+        out[..., delay:delay + n] += product
     return BasebandFrame(out, frame.sample_rate)
 
 

@@ -10,17 +10,19 @@ Five studies are available:
                    orthonormalized Gaussian, with truncated-SRRC references
 
 Every Monte-Carlo trial draws its randomness from a generator seeded with
-[master_seed, ...indices].  papr-ccdf and ber-fading push blocks of trials
-through the chain functions, which act on the last axis of (..., n)
-arrays; the block size follows from the frame length (see
+[master_seed, ...indices].  papr-ccdf, ber-fading and evm-sweep push blocks
+of trials through the chain functions, which act on the last axis of
+(..., n) arrays; the block size follows from the bytes of a block (see
 metrics.trial_blocks), and per-trial seeding keeps every CSV byte
-independent of it.  evm-sweep demodulates the receiver-filtered copies of
-one frame, a row per cutoff, as one block: the db10 analysis gives every
-row of a block of any size the bits of a call on that row alone (see
-filterbank.analysis_step), so each cutoff's round-off-level EVM
-does not depend on the other cutoffs, and metrics.evm scores all the rows
-in one call with the bits of a call per row.  Trial bits come from
-metrics.TrialBits, the raw PCG64 output of the same seeds.
+independent of it.  evm-sweep filters each frame of a block once per
+cutoff into a (frames, cutoffs, samples) receive block and demodulates it
+in one call per chain: the db10 analysis gives every row of a block of any
+size the bits of a call on that row alone (see filterbank.analysis_step),
+so each cutoff's round-off-level EVM depends neither on the other cutoffs
+nor on the other frames, and metrics.evm scores all the rows in one call
+with the bits of a call per row.  The EVM totals are summed frame by frame
+in trial order.  Trial bits come from metrics.TrialBits, the raw PCG64
+output of the same seeds.
 """
 
 from __future__ import annotations
@@ -117,17 +119,19 @@ def run_papr_ccdf_compare(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _brickwall(samples: np.ndarray, cutoffs) -> np.ndarray:
-    """Ideal lowpass in the frame's DFT domain: one (cutoffs, m) block, a row
-    per cutoff; cutoff 1.0 keeps everything.  The frame is transformed once
-    for all cutoffs."""
+    """Ideal lowpass in each frame's DFT domain: (..., m) frames give a
+    (..., cutoffs, m) block, a row per cutoff; cutoff 1.0 keeps everything.
+    Each frame is transformed once for all cutoffs, and every frame of a
+    block gets the bytes of a call on that frame alone."""
     cutoffs = np.asarray(cutoffs, dtype=float)
     low = cutoffs < 1.0
-    spectrum = np.fft.fft(samples)
-    freqs = np.abs(np.fft.fftfreq(len(samples)))
-    block = np.empty((len(cutoffs), len(samples)), dtype=complex)
-    block[~low] = samples
-    block[low] = np.fft.ifft(
-        spectrum * (freqs <= 0.5 * cutoffs[low, None] + 1e-12), axis=-1
+    m = samples.shape[-1]
+    freqs = np.abs(np.fft.fftfreq(m))
+    block = np.empty(samples.shape[:-1] + (len(cutoffs), m), dtype=complex)
+    block[..., ~low, :] = samples[..., None, :]
+    block[..., low, :] = np.fft.ifft(
+        np.fft.fft(samples)[..., None, :] * (freqs <= 0.5 * cutoffs[low, None] + 1e-12),
+        axis=-1,
     )
     return block
 
@@ -154,18 +158,24 @@ def run_evm_bandwidth_sweep(cfg: ExperimentConfig) -> ResultTable:
 
     total = np.zeros((len(cutoffs), 2))
     payloads = metrics.TrialBits([cfg.seed], [n_frames], n * spec.bits_per_symbol)
-    # one frame per step: blocks of 16 frames gave the same bits but gained
-    # no CPU time and raised the evm-rx benchmark's peak RSS by 7%
-    for trial in range(n_frames):
-        symbols = modem.map_bits(payloads(range(trial, trial + 1))[0], spec)
+    # blocks of 3 frames at the defaults (a receive block of 9 cutoffs x 1024
+    # samples a frame).  Against one frame per step, on 2 vCPUs, a 64-frame
+    # study took 17% less CPU in one interpreter (faster in 59 of 60 pairs),
+    # and the evm-rx benchmark ran 1160 against 969 frames/s (10 of 10
+    # pairs) for +0.5 MB (+1.3%) peak RSS
+    for trials in metrics.trial_blocks(n_frames, len(cutoffs) * ft.frame_length):
+        symbols = modem.map_bits(payloads(trials), spec)
         for column, chain in enumerate((ft, wt)):
             frame = modem.ofdm_modulate(symbols, chain)
-            estimates = modem.ofdm_demodulate(
-                modem.BasebandFrame(_brickwall(frame.samples, cutoffs),
-                                    frame.sample_rate),
-                chain,
-            )
-            total[:, column] += metrics.evm(estimates, symbols)
+            frame = modem.BasebandFrame(_brickwall(frame.samples, cutoffs),
+                                        frame.sample_rate)
+            estimates = modem.ofdm_demodulate(frame, chain)
+            del frame
+            scores = metrics.evm(estimates, np.broadcast_to(symbols[:, None, :],
+                                                            estimates.shape))
+            del estimates  # freed before the next chain modulates
+            for row in scores:  # frame by frame, in trial order
+                total[:, column] += row
     table = ResultTable(
         columns=["cutoff", "evm_ft", "evm_wt"],
         provenance=provenance_for(cfg, "evm-sweep"),

@@ -162,12 +162,19 @@ def _padded_index(n: int, lead: int, length: int) -> np.ndarray:
     return idx
 
 
-# Most multiply-adds one gemv of the one-band path may run, and one gather of
-# one-window bands may hold.  OpenBLAS 0.3.31 hands a zgemv of 4096 or more
-# to its thread pool, whose worker then spins between calls; below that it
-# runs on the calling thread (measured on 2 vCPUs: CPU/wall 1.0 for a
-# 204 x 20 zgemv, 2.0 for 205 x 20).
+# Most multiply-adds one gemv slice of the one-band path may run.  OpenBLAS
+# 0.3.31 hands a zgemv of 4096 or more to its thread pool, whose worker then
+# spins between calls; below that it runs on the calling thread (measured on
+# 2 vCPUs: CPU/wall 1.0 for a 204 x 20 zgemv, 2.0 for 205 x 20).
 _GEMV_SLICE_MACS = 4095
+
+# Most bytes one circularly padded copy of stacked bands, or one gather of
+# windows, may hold; whole frames are copied or gathered at a time, at least
+# one.  Unbounded, a stacked copy grows with the block: at level 7 of a db10
+# wpt of 27 rows of 512 samples it is 5.5 times the stack, about 1.2 MB.  On
+# 2 vCPUs a 64-frame evm-sweep took 2.6% more CPU at 128 KiB than at this
+# size, and 1.6% less at 512 KiB for 0.5 MB more peak RSS.
+_GATHER_BYTES = 1 << 18
 
 
 def _window_view(x, width: int, row_step: int, tap_step: int) -> np.ndarray:
@@ -200,40 +207,53 @@ def _windowed_products(x, width: int, row_step: int, tap_step: int, taps):
     so the summation order, follows the frame shape, never the frame count:
 
     * stacked bands of two or more windows: numpy's in-order non-BLAS loop,
-      one matmul per tap vector over the read-only :func:`_window_view`;
+      one matmul per tap vector over the read-only :func:`_window_view` of
+      a few whole frames at a time, whose padded copy holds at most
+      ``_GATHER_BYTES`` (or one frame), written into the preallocated
+      outputs;
     * one window per band (two-sample analysis, one-sample synthesis): a
       dot per band, on windows copied with each frame's bands innermost (the
-      layout of ``frame[..., idx]``), gathered a few frames at a time under
-      ``_GEMV_SLICE_MACS`` multiply-adds, which bounds their memory.  A
-      strided dot's bits do not depend on its stride, only on the stride not
-      being 1, and one band's copy has unit stride, as a row call has;
+      layout of ``frame[..., idx]``), gathered whole frames at a time under
+      ``_GATHER_BYTES``.  A strided dot's bits do not depend on its stride,
+      only on the stride not being 1, and one band's copy has unit stride,
+      as a row call has;
     * one band of two or more windows (a 1-D input, or a frame stack of one
       band): the sliced 2-D BLAS gemvs of :func:`_one_band_gemv`.
 
-    A complex gemv row gives the same bits for any row count of two or more
-    (numpy sends a one-row product to dot, so no slice has one row), and a
-    real gemv sums in groups of 4 rows, which every slice and every gathered
-    frame starts on, so every frame of a block of any size gives the bits of
-    a call on that frame alone.  The bits also depend on the BLAS build.
+    Frames are independent in each product.  A complex gemv row gives the
+    same bits for any row count of two or more (numpy sends a one-row
+    product to dot, so no slice has one row), and a real gemv sums in
+    groups of 4 rows, which every slice and every gathered frame starts on,
+    so every frame of a block of any size gives the bits of a call on that
+    frame alone.  The bits also depend on the BLAS build.
     """
     n = x.shape[-1]
     rows = n // row_step
-    if rows > 1 and x.ndim > 1 and x.shape[-2] > 1:
-        windows = _window_view(x, width, row_step, tap_step)
-        return [windows @ t for t in taps]
-    idx = _window_index(n, width, row_step, tap_step)
     out_shape = x.shape[:-1] + (rows,)
-    if rows > 1:
+    if rows > 1 and (x.ndim == 1 or x.shape[-2] == 1):
+        idx = _window_index(n, width, row_step, tap_step)
         return [out.reshape(out_shape) for out in _one_band_gemv(x.reshape(-1, n), idx, taps)]
     frames = x.reshape((-1,) + (x.shape[-2:] if x.ndim > 1 else (1, n)))
-    per_gather = max(1, _GEMV_SLICE_MACS // (frames.shape[1] * idx.size))
-    chunks = []
-    for f in range(0, len(frames), per_gather):
-        # (frames, bands, 1, width) windows, bands innermost in memory
-        block = frames[f:f + per_gather].swapaxes(-1, -2)
-        windows = np.take(block, idx, axis=-2).transpose(0, 3, 1, 2)
-        chunks.append([windows @ t for t in taps])
-    return [np.concatenate(c).reshape(out_shape) for c in zip(*chunks)]
+    bands = frames.shape[1]
+    dtype = np.result_type(x, *taps)
+    outs = [np.empty((len(frames), bands, rows), dtype=dtype) for _ in taps]
+    if rows > 1:
+        length = (rows - 1) * row_step + (width - 1) * abs(tap_step) + 1
+        per_gather = max(1, _GATHER_BYTES // (bands * length * frames.itemsize))
+        for f in range(0, len(frames), per_gather):
+            windows = _window_view(frames[f:f + per_gather], width, row_step, tap_step)
+            for out, t in zip(outs, taps):
+                np.matmul(windows, t, out=out[f:f + per_gather])
+    else:
+        idx = _window_index(n, width, row_step, tap_step)
+        per_gather = max(1, _GATHER_BYTES // (bands * width * frames.itemsize))
+        for f in range(0, len(frames), per_gather):
+            # (frames, bands, 1, width) windows, bands innermost in memory
+            block = frames[f:f + per_gather].swapaxes(-1, -2)
+            windows = np.take(block, idx, axis=-2).transpose(0, 3, 1, 2)
+            for out, t in zip(outs, taps):
+                np.matmul(windows, t, out=out[f:f + per_gather])
+    return [out.reshape(out_shape) for out in outs]
 
 
 def _one_band_gemv(rows, idx, taps):
@@ -241,11 +261,11 @@ def _one_band_gemv(rows, idx, taps):
     the (frames * len(idx), width) gathered windows ``rows[:, idx]`` of
     (frames, samples) one-band rows, with two or more windows a frame.
 
-    Runs 2-D gemvs of at most ``_GEMV_SLICE_MACS`` multiply-adds (8 rows
-    for windows wider than 256) over whole groups of 4 rows and at least
-    two rows.  Windows are gathered one frame at a time, or as many whole
-    frames at a time as one gemv takes when every frame starts a group of 4
-    rows."""
+    Windows are gathered whole frames at a time under ``_GATHER_BYTES``,
+    and each gather runs 2-D gemvs of at most ``_GEMV_SLICE_MACS``
+    multiply-adds (8 rows for windows wider than 256) over whole groups of
+    4 rows and at least two rows.  A real frame whose rows do not fill
+    whole groups of 4 is gathered alone."""
     half, width = idx.shape
     dtype = np.result_type(rows, *taps)
     outs = [np.empty(len(rows) * half, dtype=dtype) for _ in taps]
@@ -254,7 +274,7 @@ def _one_band_gemv(rows, idx, taps):
     # not fill whole groups is gathered alone: its rows then fall in the
     # groups of its own call
     alone = dtype.kind != "c" and half % 4 != 0
-    per_gather = 1 if alone else max(1, step // half)
+    per_gather = 1 if alone else max(1, _GATHER_BYTES // (idx.size * rows.itemsize))
     for f in range(0, len(rows), per_gather):
         windows = np.take(rows[f:f + per_gather], idx, axis=-1).reshape(-1, width)
         bounds = list(range(0, len(windows), step))
@@ -407,20 +427,23 @@ def wpt(x, pair: WaveletFilterPair, levels: int) -> SubbandSet:
     """Full wavelet-packet transform: both branches recursed, 2**J bands.
 
     Bands are in natural (tree) order.  All bands at one level share a
-    length, so each level is one batched analysis call.
+    length, so each level is one batched analysis call.  Each level's input
+    and outputs are freed as soon as the next stack no longer needs them.
     """
     x = np.asarray(x)
     band_lengths(WPT_FULL, levels, x.shape[-1] if x.ndim else 0)
+    shape = x.shape
     stack = x[..., None, :]
+    del x  # held through the stack's base until level 1 replaces it
     for _ in range(levels):
         a, d = analysis_step(stack, pair)
-        shape = list(a.shape)
-        shape[-2] *= 2
-        merged = np.empty(shape, dtype=np.result_type(a, d))
-        merged[..., 0::2, :] = a
-        merged[..., 1::2, :] = d
-        stack = merged
-    return SubbandSet(stack.reshape(x.shape), WPT_FULL, levels)
+        del stack
+        stack = np.empty(a.shape[:-2] + (2 * a.shape[-2], a.shape[-1]),
+                         dtype=np.result_type(a, d))
+        stack[..., 0::2, :] = a
+        stack[..., 1::2, :] = d
+        del a, d
+    return SubbandSet(stack.reshape(shape), WPT_FULL, levels)
 
 
 def iwpt(subbands: SubbandSet, pair: WaveletFilterPair):

@@ -88,16 +88,18 @@ class CcdfCurve:
 
 
 # Monte-Carlo loops push blocks of trials through the chains; a block holds
-# about this many bytes of complex samples (16 frames of 2048 samples, 14 of
-# 2304).  Per-trial seeding makes every output byte independent of the block
-# size.  The size is set by memory: each chain stage writes only into arrays
-# it allocated and frees its block-sized temporaries before the next, so a
-# warm study peaks at 2.5 blocks of traced memory in papr-ccdf and 4.0 in
-# ber-fading (4.6 and 8.1 with the stages' earlier temporaries, which held
-# the block at 256 KiB).  On the benchmark (2 vCPUs, 10 alternating pairs)
-# this size ran papr-tx at 12513 frames/s against 10447 for 256 KiB blocks
-# with those temporaries (faster in 10 of 10), for +0.63 MB (+1.6%) peak RSS;
-# ber-link (5 pairs) ran 16% more frames/s for +0.16 MB.
+# about this many bytes of complex samples: 16 frames of 2048 samples in
+# papr-ccdf, 14 of 2304 in ber-fading, and 3 frames in evm-sweep, whose
+# receive block holds 9 cutoffs x 1024 samples a frame.  Per-trial seeding
+# makes every output byte independent of the block size.  The size is set
+# by memory: each chain stage writes only into arrays it allocated and frees
+# its block-sized temporaries before the next, so a warm study peaks at 2.5
+# blocks of traced memory in papr-ccdf and 4.0 in ber-fading (4.6 and 8.1
+# with the stages' earlier temporaries, which held the block at 256 KiB).
+# On the benchmark (2 vCPUs, 10 alternating pairs) this size ran papr-tx at
+# 12513 frames/s against 10447 for 256 KiB blocks with those temporaries
+# (faster in 10 of 10), for +0.63 MB (+1.6%) peak RSS; ber-link (5 pairs)
+# ran 16% more frames/s for +0.16 MB.
 _BLOCK_BYTES = 1 << 19
 
 

@@ -133,7 +133,7 @@ def map_bits(bits, spec: ConstellationSpec) -> np.ndarray:
     k = spec.bits_per_symbol
     if bits.shape[-1] % k != 0:
         raise BitCountMismatch(f"{bits.shape[-1]} bits not divisible by {k}")
-    words = bits.reshape(bits.shape[:-1] + (-1, k))
+    words = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // k, k))
     index = np.zeros(words.shape[:-1], dtype=np.int64)
     for b in range(k):
         index = (index << 1) | words[..., b]
@@ -165,7 +165,7 @@ def demap_symbols(symbols, spec: ConstellationSpec) -> np.ndarray:
     bits = np.empty(index.shape + (k,), dtype=np.int64)
     for b in range(k):
         bits[..., b] = (index >> (k - 1 - b)) & 1
-    return bits.reshape(symbols.shape[:-1] + (-1,))
+    return bits.reshape(symbols.shape[:-1] + (symbols.shape[-1] * k,))
 
 
 # --- transmitter configuration --------------------------------------------------
@@ -308,10 +308,14 @@ def _spectral_zero_pad(x: np.ndarray, os: int) -> np.ndarray:
 
 
 def _spectral_decimate(y: np.ndarray, os: int, n: int) -> np.ndarray:
+    """Inverse of :func:`_spectral_zero_pad`; the n kept bins are moved to
+    the front of the spectrum in place, so no selected copy is made."""
     if os == 1:
         return y.copy()
     spec = np.fft.fft(y, norm="ortho")
-    return np.fft.ifft(_spectral_select(spec, n), norm="ortho")
+    m = spec.shape[-1]
+    spec[..., n // 2:n] = spec[..., m - n // 2:]
+    return np.fft.ifft(spec[..., :n], norm="ortho")
 
 
 def interpolation_filter(os: int, half_width: int = 32) -> np.ndarray:

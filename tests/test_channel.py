@@ -164,6 +164,17 @@ class TestMultipath:
         )
         assert np.max(np.abs(combined - parts)) < 1e-12
 
+    def test_block_equals_sum_of_fresh_tap_products(self):
+        """Each tap's product is formed in one reused buffer; the bytes are
+        those of adding a fresh gain * x per tap, in tap order."""
+        spec = ch.MultipathSpec.ten_path(seed=10)
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((3, 96)) + 1j * rng.standard_normal((3, 96))
+        want = np.zeros((3, 96 + spec.max_delay), dtype=complex)
+        for delay, gain in zip(spec.tap_delays, spec.tap_gains):
+            want[..., delay:delay + 96] += gain * x
+        assert_array_equal(ch.apply_multipath(frame_of(x), spec).samples, want)
+
     def test_output_length(self):
         spec = ch.MultipathSpec.ten_path(seed=8)
         out = ch.apply_multipath(frame_of(np.ones(64)), spec)

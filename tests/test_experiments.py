@@ -244,6 +244,25 @@ class TestEvmExperiment:
         row = full.column("cutoff").index(float(cutoff))
         assert alone.rows == [full.rows[row]]
 
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        """7 frames: two full blocks of 3 and a partial one at the default
+        size.  Each frame's EVMs are added to the totals in trial order."""
+        cfg = cfg_with(experiment="evm-sweep", n_trials=7)
+        assert len(metrics.trial_blocks(7, 9 * 1024)) == 3
+        blocked = experiments.run_evm_bandwidth_sweep(cfg).to_csv()
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1)  # one frame per block
+        assert experiments.run_evm_bandwidth_sweep(cfg).to_csv() == blocked
+
+    def test_brickwall_block_equals_frame_calls(self):
+        rng = np.random.default_rng(34)
+        frames = rng.standard_normal((4, 256)) + 1j * rng.standard_normal((4, 256))
+        cutoffs = configio.parse_float_list(configio.ExperimentConfig().evm_cutoffs)
+        block = experiments._brickwall(frames, cutoffs)
+        assert block.shape == (4, len(cutoffs), 256)
+        np.testing.assert_array_equal(
+            block, np.stack([experiments._brickwall(f, cutoffs) for f in frames])
+        )
+
     def test_invalid_cutoffs_rejected(self):
         with pytest.raises(ConfigError):
             experiments.run_evm_bandwidth_sweep(
@@ -516,13 +535,16 @@ def test_benchmark_studies_match_their_recorded_hashes(study, trials, seed):
 @pytest.mark.parametrize("study, trials, bound", [
     ("papr-ccdf", 32, 3.0),
     ("ber-fading", 16, 5.0),
+    ("evm-sweep", 6, 3.0),
 ])
 def test_block_working_set_is_bounded(study, trials, bound):
     """Peak traced bytes of a warm study, whose blocks are the largest
-    allocations, stay under bound * _BLOCK_BYTES (2.5 for papr-ccdf and 4.0
-    for ber-fading, measured with numpy 2.4).  A stage that keeps more
-    block-sized temporaries alive at its peak, such as the FIR
-    interpolator's tiled spectrum next to its product, crosses it.  The
+    allocations, stay under bound * _BLOCK_BYTES (2.5 for papr-ccdf, 4.0
+    for ber-fading and 2.8 for evm-sweep, measured with numpy 2.4).  A
+    stage that keeps more block-sized temporaries alive at its peak, such
+    as the FIR interpolator's tiled spectrum next to its product, or a
+    filter-bank copy of a whole receive block (6.4 for evm-sweep), crosses
+    it.  The
     first run fills the caches (filter spectra, the channel response) that
     later runs share."""
     cfg = cfg_with(experiment=study, n_trials=trials)

@@ -455,6 +455,32 @@ class TestBatchInvariance:
                 assert_array_equal(inverse(block, pair), rows[:count])
 
     @pytest.mark.parametrize("name", BATCH_FAMILIES)
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("budget", [1, 1 << 15, 1 << 17],
+                             ids=["one-frame", "32KiB", "128KiB"])
+    def test_byte_budget_does_not_change_bits(self, monkeypatch, budget,
+                                              complex_valued, name):
+        """Padded copies and gathers of one frame, a few frames or a whole
+        (3, 3) block of 256-sample frames at a time.  Between them the three
+        budgets split the stacked copies of 8 levels, the one-window bands
+        (2-sample analysis, 1-sample synthesis) and the one-band gemvs,
+        real and complex, into chunks of 1 to 9 frames; every frame keeps
+        the bits of a call on that frame alone."""
+        pair = fb.make_filter(name)
+        x = random_block((3, 3, 256), seed=35, complex_valued=complex_valued)
+        transforms = [(fb.wpt, fb.iwpt, fb.WPT_FULL), (fb.dwt, fb.idwt, fb.DWT_PRUNED)]
+        rows = []
+        for forward, inverse, kind in transforms:
+            coeffs = [forward(r, pair, 8).coeffs for r in x.reshape(-1, 256)]
+            back = [inverse(fb.SubbandSet(c, kind, 8), pair) for c in coeffs]
+            rows.append((np.reshape(coeffs, x.shape), np.reshape(back, x.shape)))
+        monkeypatch.setattr(fb, "_GATHER_BYTES", budget)
+        for (forward, inverse, kind), (coeffs, back) in zip(transforms, rows):
+            block = forward(x, pair, 8).coeffs
+            assert_array_equal(block, coeffs)
+            assert_array_equal(inverse(fb.SubbandSet(block, kind, 8), pair), back)
+
+    @pytest.mark.parametrize("name", BATCH_FAMILIES)
     @pytest.mark.parametrize("shape", [(3, 8, 64), (2, 4, 3), (3, 8, 1)],
                              ids=["stacked", "odd-half", "one-sample"])
     def test_stacked_synthesis_equals_gathered_matmul(self, shape, name):

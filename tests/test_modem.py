@@ -103,6 +103,19 @@ class TestConstellations:
         with pytest.raises(BitCountMismatch):
             modem.map_bits([0, 1, 0], modem.constellation("qpsk"))
 
+    @pytest.mark.parametrize("kind", ["bpsk", "qpsk", "qam16"])
+    def test_empty_block_gives_empty_rows(self, kind):
+        """Zero frames map and demap to zero rows, as zero bits and zero
+        symbols already did, not a numpy reshape error."""
+        spec = modem.constellation(kind)
+        k = spec.bits_per_symbol
+        symbols = modem.map_bits(np.zeros((0, 2 * k), dtype=np.int64), spec)
+        assert symbols.shape == (0, 2) and symbols.dtype == complex
+        bits = modem.demap_symbols(np.zeros((0, 3), dtype=complex), spec)
+        assert bits.shape == (0, 3 * k) and bits.dtype == np.int64
+        assert modem.map_bits(np.zeros((3, 0), dtype=np.int64), spec).shape == (3, 0)
+        assert modem.demap_symbols(np.zeros(0, dtype=complex), spec).shape == (0,)
+
     @pytest.mark.parametrize("bits", [[0.5, 0.5], [2, 3], [-1, 0], ["0", "1"]])
     def test_bits_other_than_0_and_1_rejected(self, bits):
         """Not truncated to a symbol, and not an IndexError: a ConfigError.
