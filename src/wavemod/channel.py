@@ -275,11 +275,7 @@ def _zero_forcing_bins(response_bytes: bytes, m: int, n: int, rolloff, eps):
     bytes), m, n, roll-off and eps, and shared read-only.  Raises
     SingularChannel when the response falls below eps on an occupied bin."""
     response = np.fft.fft(np.frombuffer(response_bytes, dtype=complex), n=m)
-    if rolloff is not None:
-        weights = modem.rrc_bin_weights(n, m, rolloff)
-        occupied = np.nonzero(weights > 1e-12)[0]
-    else:
-        occupied = np.concatenate([np.arange(n // 2), np.arange(m - n // 2, m)])
+    occupied = np.nonzero(modem._grid_weights(n, m, rolloff) > 1e-12)[0]
     gains = response[occupied]
     if np.any(np.abs(gains) < eps):
         raise SingularChannel(

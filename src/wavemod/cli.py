@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from .configio import ExperimentConfig, load_config
-from .errors import ConfigError, NumericalError, WavemodError
+from .errors import ConfigError, WavemodError
 from .experiments import RUNNERS, run_experiment
 
 
@@ -55,7 +55,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"wavemod: config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, WavemodError) as exc:
+    except WavemodError as exc:
         print(f"wavemod: numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -43,7 +43,7 @@ from .configio import (
     parse_str_list,
     provenance_for,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 SYSTEM_ORDER = ("wpm", "ofdm", "sc_wpm", "sc_ofdm")
 
@@ -426,12 +426,18 @@ def _keep_block_buffers() -> None:
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Dispatch on cfg.experiment; names match the CLI subcommands.  The
-    first call in a process fixes the allocator's thresholds (see
-    _keep_block_buffers); a plain import leaves them alone."""
+    study runs with numpy's overflow, invalid and divide warnings raised,
+    and such a failure is re-raised as NumericalError, so no inf or NaN
+    reaches a table.  The first call in a process fixes the allocator's
+    thresholds (see _keep_block_buffers); a plain import leaves them alone."""
     _keep_block_buffers()
     name = cfg.experiment.strip()
     if name not in RUNNERS:
         raise ConfigError(
             f"unknown experiment {name!r} (choose from {sorted(RUNNERS)})"
         )
-    return RUNNERS[name](cfg)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return RUNNERS[name](cfg)
+    except FloatingPointError as exc:
+        raise NumericalError(f"{name}: {exc}") from None

@@ -3,16 +3,15 @@
 Supported chains, all built from unitary blocks so that noiseless
 modulate/demodulate roundtrips are exact:
 
-* Fourier multicarrier: optional precoder (size-N unitary DFT, a J-level
-  pruned DWT, or the full wavelet-packet analysis), unitary inverse DFT,
-  oversampling by zero padding the spectrum or by an optional square-root
-  raised-cosine bin weighting (tx_rolloff), cyclic prefix as a prepended
+* Fourier multicarrier: optional precoder (size-N unitary DFT, a pruned
+  DWT, or the full wavelet-packet analysis, on the chain's own pair and
+  depth), unitary inverse DFT, oversampling, cyclic prefix as a prepended
   copy of the frame tail.  A DFT precoder turns the chain into the usual
   single-carrier uplink arrangement; the full-tree wavelet precoder plays
   the same role for the wavelet-packet chain (the synthesis inverts it).
-  On the chain's own pair and depth the two cancel when that pair is
-  orthogonal, so with a shipped pair (taps equal to make_filter's) the
-  chain skips both and sends the symbols themselves, oversampled.
+  The two cancel when the chain's pair is orthogonal, so with a shipped
+  pair (taps equal to make_filter's) the chain skips both and sends the
+  symbols themselves, oversampled.
 * Wavelet-packet multicarrier: optional precoder, inverse wavelet-packet
   transform (2**J = N subcarriers in natural tree order), oversampling by
   polyphase interpolation with an os-th-band windowed sinc (default) or by
@@ -21,6 +20,13 @@ modulate/demodulate roundtrips are exact:
   detection.
 * Dyadic pulse shaping: parallel streams on a mother wavelet and its
   compressed dyadics, stream m signalling at rate 2**m per symbol period.
+
+Every oversampler is the n DFT bins broadcast over the m = n * os grid
+(bin k carries subcarrier k mod n) times one bin-weight vector: 1 on the
+n // 2 lowest positive and negative bins for zero padding, square-root
+raised-cosine weights under tx_rolloff, the interpolation filter's
+spectrum for the polyphase FIR.  Every spectral receiver folds the grid
+back with the same weights.
 
 Gray mappings are fixed bit-exactly (see README): bit 0 maps to the
 positive rail, the in-phase rail carries the first bit(s).
@@ -181,8 +187,6 @@ class OfdmConfig:
     oversampling: int = 1
     cp_fraction: float = 0.0
     precoder: str = PRECODER_NONE
-    precoder_pair: WaveletFilterPair | None = None
-    precoder_levels: int | None = None
     wpm_interp: str = INTERP_FIR
     tx_rolloff: float | None = None
 
@@ -229,27 +233,15 @@ class OfdmConfig:
                                  PRECODER_WPT):
             raise ConfigInvariantViolated(f"unknown precoder {self.precoder!r}")
         if self.precoder in (PRECODER_DWT, PRECODER_WPT):
-            if self.effective_precoder_pair is None:
+            if self.pair is None:
                 raise ConfigInvariantViolated(
                     "wavelet precoders need a filter pair"
                 )
-            j = self.effective_precoder_levels
-            if j is None or n % (2**j) != 0:
+            j = _precoder_depth(self)
+            if n % (2**j) != 0:
                 raise ConfigInvariantViolated(
                     f"wavelet precoder depth {j} incompatible with {n} subcarriers"
                 )
-
-    @property
-    def effective_precoder_pair(self) -> WaveletFilterPair | None:
-        return self.precoder_pair if self.precoder_pair is not None else self.pair
-
-    @property
-    def effective_precoder_levels(self) -> int | None:
-        if self.precoder_levels is not None:
-            return self.precoder_levels
-        if self.levels is not None:
-            return self.levels
-        return int(np.log2(self.n_subcarriers))
 
     @property
     def body_length(self) -> int:
@@ -283,39 +275,21 @@ class BasebandFrame:
 
 # --- oversampling helpers -------------------------------------------------------
 
-def _spectral_place(spec: np.ndarray, m: int) -> np.ndarray:
-    """(..., n) DFT bins -> (..., m) grid: the n // 2 lowest positive and
-    negative frequencies keep their places, the bins between are zero."""
-    n = spec.shape[-1]
-    grid = np.zeros(spec.shape[:-1] + (m,), dtype=complex)
-    grid[..., : n // 2] = spec[..., : n // 2]
-    grid[..., m - n // 2:] = spec[..., n // 2:]
-    return grid
+def _upsample(spec: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(..., n) DFT bins -> (..., m) grid: each bin is broadcast over its
+    m / n aliases (bin k of the grid carries class k mod n) and multiplied
+    by the m weights; no tiled copy is made."""
+    n, m = spec.shape[-1], weights.shape[-1]
+    grid = spec[..., None, :] * weights.reshape(m // n, n)
+    return grid.reshape(spec.shape[:-1] + (m,))
 
 
-def _spectral_select(spec: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`_spectral_place`: the n bins of a (..., m) grid."""
-    m = spec.shape[-1]
-    return np.concatenate([spec[..., : n // 2], spec[..., m - n // 2:]], axis=-1)
-
-
-def _spectral_zero_pad(x: np.ndarray, os: int) -> np.ndarray:
-    """Unitary oversampling: zero padding in the frequency domain."""
-    if os == 1:
-        return x.copy()
-    spec = np.fft.fft(x, norm="ortho")
-    return np.fft.ifft(_spectral_place(spec, x.shape[-1] * os), norm="ortho")
-
-
-def _spectral_decimate(y: np.ndarray, os: int, n: int) -> np.ndarray:
-    """Inverse of :func:`_spectral_zero_pad`; the n kept bins are moved to
-    the front of the spectrum in place, so no selected copy is made."""
-    if os == 1:
-        return y.copy()
-    spec = np.fft.fft(y, norm="ortho")
-    m = spec.shape[-1]
-    spec[..., n // 2:n] = spec[..., m - n // 2:]
-    return np.fft.ifft(spec[..., :n], norm="ortho")
+def _fold(spec: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`_upsample` for real weights of unit power per
+    class: the (..., m) spectrum, which must be an array the caller
+    allocated, is weighted in place and each alias class summed to n bins."""
+    spec *= weights
+    return spec.reshape(spec.shape[:-1] + (spec.shape[-1] // n, n)).sum(axis=-2)
 
 
 def interpolation_filter(os: int, half_width: int = 32) -> np.ndarray:
@@ -358,23 +332,16 @@ def _fir_kernel_spectrum(m: int, os: int) -> np.ndarray:
 
 
 def _fir_interpolate(x: np.ndarray, os: int) -> np.ndarray:
-    """Polyphase interpolation, circular, rescaled to preserve energy."""
-    if os == 1:
-        return x.copy()
-    # a zero-stuffed row's spectrum is its own spectrum tiled os times:
-    # (..., 1, n) rows times the (os, n) kernel, with no tiled copy
-    n = x.shape[-1]
-    kernel = _fir_kernel_spectrum(n * os, os).reshape(os, n)
-    spectrum = np.fft.fft(x)[..., None, :] * kernel
-    y = np.fft.ifft(spectrum.reshape(x.shape[:-1] + (n * os,)))
-    del spectrum  # freed before the rescale allocates
+    """Polyphase interpolation, circular, rescaled to preserve energy: a
+    zero-stuffed row's spectrum is its own spectrum over the os aliases,
+    so the filter acts as the bin weights of :func:`_upsample`."""
+    weights = _fir_kernel_spectrum(x.shape[-1] * os, os)
+    y = np.fft.ifft(_upsample(np.fft.fft(x), weights))
     return _rescale(y, x)
 
 
 def _fir_decimate(y: np.ndarray, os: int) -> np.ndarray:
     """Inverse of :func:`_fir_interpolate` (exact in the noiseless case)."""
-    if os == 1:
-        return y.copy()
     return _rescale(y[..., ::os].copy(), y)  # y is the caller's
 
 
@@ -405,17 +372,37 @@ def rrc_bin_weights(n: int, m: int, rolloff: float) -> np.ndarray:
     return weights / np.sqrt(power[classes])
 
 
+@functools.lru_cache(maxsize=32)
+def _grid_weights(n: int, m: int, rolloff: float | None) -> np.ndarray:
+    """The m bin weights of n subcarriers on an m-bin grid, built once per
+    (n, m, rolloff) and shared read-only: with no roll-off 1 on the n // 2
+    lowest positive and n // 2 lowest negative bins and 0 between, under
+    roll-off :func:`rrc_bin_weights`."""
+    if rolloff is not None:
+        weights = rrc_bin_weights(n, m, rolloff)
+    else:
+        weights = np.zeros(m)
+        weights[: n // 2] = 1.0
+        weights[m - n // 2:] = 1.0
+    weights.flags.writeable = False
+    return weights
+
+
+def _precoder_depth(cfg: OfdmConfig) -> int:
+    """Depth of a wavelet precoder: the chain's levels, or log2 n when
+    levels is unset."""
+    if cfg.levels is not None:
+        return cfg.levels
+    return int(np.log2(cfg.n_subcarriers))
+
+
 def _precode(symbols: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     if cfg.precoder == PRECODER_NONE:
         return symbols
     if cfg.precoder == PRECODER_DFT:
         return np.fft.fft(symbols, norm="ortho")
-    if cfg.precoder == PRECODER_WPT:
-        bands = wpt(symbols, cfg.effective_precoder_pair,
-                    cfg.effective_precoder_levels)
-        return bands.coeffs
-    bands = dwt(symbols, cfg.effective_precoder_pair, cfg.effective_precoder_levels)
-    return bands.coeffs
+    analysis = wpt if cfg.precoder == PRECODER_WPT else dwt
+    return analysis(symbols, cfg.pair, _precoder_depth(cfg)).coeffs
 
 
 def _unprecode(vec: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
@@ -423,43 +410,45 @@ def _unprecode(vec: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
         return vec
     if cfg.precoder == PRECODER_DFT:
         return np.fft.ifft(vec, norm="ortho")
+    levels = _precoder_depth(cfg)
     if cfg.precoder == PRECODER_WPT:
-        bands = SubbandSet.from_flat(
-            vec, WPT_FULL, cfg.effective_precoder_levels
-        )
-        return iwpt(bands, cfg.effective_precoder_pair)
-    bands = SubbandSet.from_flat(
-        vec, DWT_PRUNED, cfg.effective_precoder_levels
-    )
-    return idwt(bands, cfg.effective_precoder_pair)
+        return iwpt(SubbandSet.from_flat(vec, WPT_FULL, levels), cfg.pair)
+    return idwt(SubbandSet.from_flat(vec, DWT_PRUNED, levels), cfg.pair)
 
 
 def _synthesize_body(vec: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     """Precoded symbol vector(s) (..., n) -> oversampled body (no CP)."""
-    n, os = cfg.n_subcarriers, cfg.oversampling
     if cfg.transform == FOURIER:
-        m = n * os
-        if cfg.tx_rolloff is not None:
-            weights = rrc_bin_weights(n, m, cfg.tx_rolloff)
-            tiled = np.tile(vec, os)
-            return np.fft.ifft(tiled * weights, norm="ortho")
-        return np.fft.ifft(_spectral_place(vec, m), norm="ortho")
+        weights = _grid_weights(cfg.n_subcarriers, cfg.body_length,
+                                cfg.tx_rolloff)
+        return np.fft.ifft(_upsample(vec, weights), norm="ortho")
     chips = iwpt(SubbandSet.from_flat(vec, WPT_FULL, cfg.levels), cfg.pair)
     return _interpolate_chips(chips, cfg)
 
 
 def _interpolate_chips(chips: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     """Wavelet-packet chips (..., n) -> oversampled body (..., n * os)."""
-    if cfg.wpm_interp == INTERP_FFT:
-        return _spectral_zero_pad(chips, cfg.oversampling)
-    return _fir_interpolate(chips, cfg.oversampling)
+    os = cfg.oversampling
+    if os == 1:
+        return chips.copy()
+    if cfg.wpm_interp == INTERP_FIR:
+        return _fir_interpolate(chips, os)
+    weights = _grid_weights(cfg.n_subcarriers, cfg.body_length, None)
+    spec = np.fft.fft(chips, norm="ortho")
+    return np.fft.ifft(_upsample(spec, weights), norm="ortho")
 
 
 def _decimate_body(body: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     """Inverse of :func:`_interpolate_chips`."""
-    if cfg.wpm_interp == INTERP_FFT:
-        return _spectral_decimate(body, cfg.oversampling, cfg.n_subcarriers)
-    return _fir_decimate(body, cfg.oversampling)
+    os = cfg.oversampling
+    if os == 1:
+        return body.copy()
+    if cfg.wpm_interp == INTERP_FIR:
+        return _fir_decimate(body, os)
+    n = cfg.n_subcarriers
+    weights = _grid_weights(n, cfg.body_length, None)
+    return np.fft.ifft(_fold(np.fft.fft(body, norm="ortho"), weights, n),
+                       norm="ortho")
 
 
 @functools.lru_cache(maxsize=64)
@@ -474,18 +463,14 @@ def _shipped_taps(family: str) -> tuple[bytes, bytes] | None:
 
 
 def _precoder_cancels(cfg: OfdmConfig) -> bool:
-    """True when the precoder is the full packet analysis on the chain's
-    own pair and depth, and that pair is a shipped orthogonal one (its taps
-    equal make_filter's for its family).  The packet synthesis then
-    inverts the precoder (perfect reconstruction), so the chain sends the
-    symbols themselves as chips.  Any other pair, such as a perturbed one
-    built for a sensitivity study, need not reconstruct perfectly and runs
-    both transforms.  The precoder pair is compared by identity: a
-    dataclass holding arrays has no usable ==."""
-    if not (cfg.transform == WAVELET_PACKET
-            and cfg.precoder == PRECODER_WPT
-            and (cfg.precoder_pair is None or cfg.precoder_pair is cfg.pair)
-            and cfg.effective_precoder_levels == cfg.levels):
+    """True when the precoder is the full packet analysis of a
+    wavelet-packet chain (always on the chain's own pair and depth) and
+    that pair is a shipped orthogonal one (its taps equal make_filter's for
+    its family).  The packet synthesis then inverts the precoder (perfect
+    reconstruction), so the chain sends the symbols themselves as chips.
+    Any other pair, such as a perturbed one built for a sensitivity study,
+    need not reconstruct perfectly and runs both transforms."""
+    if not (cfg.transform == WAVELET_PACKET and cfg.precoder == PRECODER_WPT):
         return False
     pair = cfg.pair
     return _shipped_taps(pair.family) == (pair.h.tobytes(), pair.g.tobytes())
@@ -493,14 +478,11 @@ def _precoder_cancels(cfg: OfdmConfig) -> bool:
 
 def _fourier_bins(spec: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     """Body spectrum (..., m) -> the n subcarrier values of a Fourier chain:
-    the occupied bins, or under roll-off shaping the conjugate-weighted fold
-    of every alias class."""
+    every alias class folded with the chain's bin weights (the occupied
+    bins alone without roll-off).  spec, the caller's own array, is
+    overwritten."""
     n = cfg.n_subcarriers
-    if cfg.tx_rolloff is not None:
-        weights = rrc_bin_weights(n, cfg.body_length, cfg.tx_rolloff)
-        folded = (spec * weights).reshape(spec.shape[:-1] + (cfg.oversampling, n))
-        return folded.sum(axis=-2)
-    return _spectral_select(spec, n)
+    return _fold(spec, _grid_weights(n, cfg.body_length, cfg.tx_rolloff), n)
 
 
 def _analyze_body(body: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
@@ -517,12 +499,11 @@ def ofdm_modulate(symbols, cfg: OfdmConfig) -> BasebandFrame:
     block of frames; each row gives the same samples as it would alone.
     The cyclic prefix (Fourier chain only) is a copy of the frame tail, so
     the CP-stripped body carries exactly the input symbol energy.  A
-    wavelet-packet precoder on the chain's own pair and depth cancels
-    against the packet synthesis when the pair is orthogonal, so with a
-    shipped pair (taps equal to make_filter's for its family) the chain
-    skips both and oversamples the symbols directly (equal to the composed
-    chain within round-off).  Any other pair, e.g. a perturbed one, runs
-    both transforms.
+    wavelet-packet precoder cancels against the packet synthesis when the
+    chain's pair is orthogonal, so with a shipped pair (taps equal to
+    make_filter's for its family) the chain skips both and oversamples the
+    symbols directly (equal to the composed chain within round-off).  Any
+    other pair, e.g. a perturbed one, runs both transforms.
     """
     symbols = np.asarray(symbols, dtype=complex)
     count = symbols.shape[-1] if symbols.ndim else 1

@@ -376,6 +376,18 @@ def test_chain_stages_leave_their_inputs_unchanged(cfg):
     unchanged(framed(ch.equalize), frozen(noisy), profile, cfg)
 
 
+@pytest.mark.parametrize("rolloff", [None, 0.0, 0.35])
+def test_zero_forcing_bins_are_the_weighted_bins(rolloff):
+    """The equalizer inverts the channel on the bins the modulator weights;
+    without roll-off those are the 32 lowest positive and negative bins."""
+    response = ch.MultipathSpec.ten_path().impulse_response().tobytes()
+    occupied, _ = ch._zero_forcing_bins(response, 256, 64, rolloff, 1e-6)
+    weights = modem._grid_weights(64, 256, rolloff)
+    assert_array_equal(occupied, np.nonzero(weights > 1e-12)[0])
+    if rolloff is None:
+        assert_array_equal(occupied, np.r_[0:32, 224:256])
+
+
 @pytest.mark.parametrize("name", ["ofdm", "wpm"])
 def test_channel_response_is_computed_once_per_taps_and_length(name):
     """Later blocks reuse the response-derived arrays, which are read-only

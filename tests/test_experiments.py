@@ -449,6 +449,18 @@ class TestCli:
         assert cli.main(["se-table"]) == 3
         assert capsys.readouterr().err == "wavemod: internal error: RuntimeError: boom\n"
 
+    def test_numpy_overflow_is_one_line_exit_3(self, monkeypatch, capsys):
+        """A study's overflow, invalid or divide warning is a numerical
+        failure, not a table with inf or NaN in it."""
+        def overflowing(cfg):
+            return np.exp(np.array([1e3]))
+
+        monkeypatch.setitem(experiments.RUNNERS, "se-table", overflowing)
+        assert cli.main(["se-table"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("wavemod: numerical failure: se-table: overflow")
+        assert err.count("\n") == 1
+
     def test_missing_config_file_exit_code(self, tmp_path):
         assert cli.main(["se-table", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -671,6 +683,7 @@ def test_config_fuzz_exits_cleanly(tmp_path_factory, study, mapping):
                          "--out", str(out)])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") <= 1
     if code == 0:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         for line in lines[1:]:

@@ -281,15 +281,13 @@ class TestWaveletPacketChain:
 
 
 class TestPrecoders:
-    @pytest.mark.parametrize("precoder,pair,levels", [
-        (modem.PRECODER_DFT, None, None),
-        (modem.PRECODER_DWT, HAAR, 9),
-        (modem.PRECODER_WPT, HAAR, 9),
+    @pytest.mark.parametrize("precoder", [
+        modem.PRECODER_DFT, modem.PRECODER_DWT, modem.PRECODER_WPT,
     ])
-    def test_precoded_roundtrips(self, precoder, pair, levels):
+    def test_precoded_roundtrips(self, precoder):
         cfg = modem.OfdmConfig(
             512, modem.WAVELET_PACKET, HAAR, 9, oversampling=2,
-            precoder=precoder, precoder_pair=pair, precoder_levels=levels,
+            precoder=precoder,
         )
         rng = np.random.default_rng(7)
         symbols = rng.standard_normal(512) + 1j * rng.standard_normal(512)
@@ -326,17 +324,14 @@ class TestPrecoders:
         composed = modem._unprecode(modem._analyze_body(samples, cfg), cfg)
         assert np.max(np.abs(estimate - composed)) < 1e-13
 
-    @pytest.mark.parametrize("precoder, foreign_pair, levels, expected", [
-        (modem.PRECODER_WPT, False, None, 0),
-        (modem.PRECODER_DWT, False, None, 1),  # the chain's own wpt and iwpt
-        (modem.PRECODER_WPT, True, None, 2),   # precoder and chain transforms
-        (modem.PRECODER_WPT, False, 3, 2),
+    @pytest.mark.parametrize("precoder, expected", [
+        (modem.PRECODER_WPT, 0),
+        (modem.PRECODER_DWT, 1),  # the chain's own wpt and iwpt
     ])
     def test_only_the_cancelling_pair_skips_the_transforms(
-            self, monkeypatch, precoder, foreign_pair, levels, expected):
-        """A dwt precoder, a precoder pair that is another object (even an
-        equal one) or another depth still runs the packet transforms;
-        expected counts the wpt and the iwpt calls of one round trip."""
+            self, monkeypatch, precoder, expected):
+        """A dwt precoder still runs the packet transforms; expected counts
+        the wpt and the iwpt calls of one round trip."""
         calls = {"wpt": 0, "iwpt": 0}
 
         def counted(name):
@@ -349,10 +344,8 @@ class TestPrecoders:
 
         monkeypatch.setattr(modem, "wpt", counted("wpt"))
         monkeypatch.setattr(modem, "iwpt", counted("iwpt"))
-        pair = fb.make_filter("haar") if foreign_pair else None
         cfg = modem.OfdmConfig(64, modem.WAVELET_PACKET, HAAR, 6,
-                               precoder=precoder, precoder_pair=pair,
-                               precoder_levels=levels)
+                               precoder=precoder)
         symbols = np.exp(2j * np.pi * np.arange(64) / 7)
         frame = modem.ofdm_modulate(symbols, cfg)
         assert np.max(np.abs(modem.ofdm_demodulate(frame, cfg) - symbols)) < 1e-9
@@ -377,14 +370,58 @@ class TestPrecoders:
         assert np.array_equal(estimate, composed)
 
     def test_fourier_with_dwt_precoder(self):
-        cfg = modem.OfdmConfig(
-            256, precoder=modem.PRECODER_DWT, precoder_pair=HAAR,
-            precoder_levels=4,
-        )
+        cfg = modem.OfdmConfig(256, pair=HAAR, levels=4,
+                               precoder=modem.PRECODER_DWT)
         rng = np.random.default_rng(9)
         symbols = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         frame = modem.ofdm_modulate(symbols, cfg)
         assert np.max(np.abs(modem.ofdm_demodulate(frame, cfg) - symbols)) < 1e-9
+
+
+class TestGridMap:
+    """Every oversampler is n bins broadcast over the m-bin grid times one
+    bin-weight vector; every spectral receiver folds with the same one."""
+
+    @pytest.mark.parametrize("os_", [1, 2, 4])
+    def test_zero_padding_keeps_the_outer_bins_in_place(self, os_):
+        rng = np.random.default_rng(50)
+        spec = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+        m = 64 * os_
+        placed = np.zeros((3, m), dtype=complex)
+        placed[:, :32] = spec[:, :32]
+        placed[:, m - 32:] = spec[:, 32:]
+        weights = modem._grid_weights(64, m, None)
+        grid = modem._upsample(spec, weights)
+        assert np.array_equal(grid, placed)
+        assert np.array_equal(modem._fold(grid, weights, 64), spec)
+
+    @pytest.mark.parametrize("os_", [2, 4])
+    @pytest.mark.parametrize("rolloff", [0.0, 0.35, 1.0])
+    def test_fold_inverts_upsample_under_rolloff(self, rolloff, os_):
+        rng = np.random.default_rng(51)
+        x = rng.standard_normal((2, 128)) + 1j * rng.standard_normal((2, 128))
+        weights = modem._grid_weights(128, 128 * os_, rolloff)
+        back = modem._fold(modem._upsample(x, weights), weights, 128)
+        assert np.max(np.abs(back - x)) < 1e-12
+
+    @pytest.mark.parametrize("rolloff", [None, 0.35])
+    def test_block_gives_the_bits_of_per_row_calls(self, rolloff):
+        rng = np.random.default_rng(52)
+        x = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+        weights = modem._grid_weights(64, 256, rolloff)
+        grid = modem._upsample(x, weights)
+        folded = modem._fold(grid.copy(), weights, 64)
+        for row in range(3):
+            alone = modem._upsample(x[row], weights)
+            assert grid[row].tobytes() == alone.tobytes()
+            assert folded[row].tobytes() == modem._fold(alone, weights, 64).tobytes()
+
+    @pytest.mark.parametrize("rolloff", [None, 0.35])
+    def test_weights_are_cached_and_read_only(self, rolloff):
+        weights = modem._grid_weights(64, 256, rolloff)
+        assert modem._grid_weights(64, 256, rolloff) is weights
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
 
 
 @pytest.fixture(scope="module")
