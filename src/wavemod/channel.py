@@ -26,7 +26,7 @@ from .errors import (
     LengthMismatch,
     SingularChannel,
 )
-from . import modem
+from . import metrics, modem
 from .modem import (
     FOURIER,
     BasebandFrame,
@@ -53,8 +53,11 @@ def _check_db(value_db: float, what: str) -> None:
 
 
 def _check_seed(seed) -> None:
-    """Raise ConfigError unless seed is a non-negative integer or an
-    array-like of them (an int too wide for int64 is an object element)."""
+    """Raise ConfigError unless seed is a metrics.TrialSeeds, a non-negative
+    integer or an array-like of them (an int too wide for int64 is an object
+    element)."""
+    if isinstance(seed, metrics.TrialSeeds):
+        return
     try:
         seeds = np.asarray(seed)
     except ValueError:  # ragged rows
@@ -90,7 +93,11 @@ class AwgnSpec:
     its own generator seeded seed[b], exactly as awgn on that frame alone
     with seed=seed[b].  A 2-D array is never a valid seed sequence, so the
     two forms cannot be confused.  Every seed is a non-negative integer, or
-    ConfigError is raised.
+    ConfigError is raised.  Per-row seeds may also come already hashed, as a
+    :class:`metrics.TrialSeeds` whose grid has the block's rows: row b then
+    draws exactly as with seed=[*prefix, *index_b, *suffix], but from one
+    reused PCG64 set to its four seed words, with no SeedSequence or
+    generator built per row.
     """
 
     snr_db: float
@@ -124,27 +131,37 @@ def _draw_noise(seed, shape, scale) -> np.ndarray:
     """scale times unit-variance-per-rail complex Gaussian draws, one scale
     per row; see AwgnSpec.seed.  Each generator fills its rows' real rails,
     then their imaginary rails, exactly as standard_normal(rows) +
-    1j * standard_normal(rows) would, through one (2, ...) real buffer."""
-    seeds = np.asarray(seed)
-    if seeds.ndim < 2:
-        draws, draw_shape = [(seed, ...)], shape
-    elif seeds.shape[:-1] != shape[:-1]:
-        raise LengthMismatch(
-            f"per-row seeds {seeds.shape} do not match frame rows {shape[:-1]}"
-        )
-    else:
-        draws = zip(seeds.reshape(-1, seeds.shape[-1]), np.ndindex(shape[:-1]))
-        draw_shape = shape[-1:]
+    1j * standard_normal(rows) would, through one (2, ...) real buffer
+    whose scaled rails are written into the output's parts.  Hashed per-row
+    seeds set one reused PCG64, inside one Generator, to each row's state
+    in turn."""
     scale = np.asarray(scale)
     noise = np.empty(shape, dtype=complex)
-    rails = np.empty((2,) + draw_shape)
-    for row_seed, rows in draws:
-        rng = np.random.default_rng(row_seed)
+    hashed = isinstance(seed, metrics.TrialSeeds)
+    if not hashed and np.ndim(seed) < 2:
+        rows, scale, draws = noise[None], scale[None], [(0, np.random.default_rng(seed))]
+    else:
+        seeds = seed.words if hashed else np.asarray(seed)
+        if seeds.shape[:-1] != shape[:-1]:
+            raise LengthMismatch(
+                f"per-row seeds {seeds.shape} do not match frame rows {shape[:-1]}"
+            )
+        rows, scale = noise.reshape(-1, shape[-1]), scale.reshape(-1)
+        if hashed:
+            bitgen = np.random.PCG64(0)
+            rng = np.random.Generator(bitgen)
+            draws = ((row, rng) for row in seed.reseed(bitgen))
+        else:
+            draws = ((row, np.random.default_rng(row_seed))
+                     for row, row_seed in enumerate(seeds.reshape(-1, seeds.shape[-1])))
+    # real and imaginary parts as views (2, draws, ...); each draw's scaled
+    # rails are written straight into them
+    parts = np.moveaxis(rows.view(float).reshape(rows.shape + (2,)), -1, 0)
+    rails = np.empty(parts[:, 0].shape)
+    for row, rng in draws:
         rng.standard_normal(out=rails[0])
         rng.standard_normal(out=rails[1])
-        rails *= scale[rows][..., None]
-        noise[rows].real = rails[0]
-        noise[rows].imag = rails[1]
+        np.multiply(rails, scale[row][..., None], out=parts[:, row])
     return noise
 
 
@@ -239,10 +256,23 @@ class MultipathSpec:
         return cls(tap_delays=delays, tap_gains=gains, normalize=normalize)
 
 
+# Most bytes of input samples one tile of apply_multipath's tap loop takes
+# (at least one row): each tap's product and sum then stay in cache instead
+# of streaming the whole block through memory once per tap.  This is 2 rows
+# of a 2304-sample ber-fading frame.  In the 16-trial ber-fading study
+# (2 vCPUs, one interpreter, 24 rotated rounds) tiles of 1, 4 and 8 such
+# rows took 2.2%, 8.1% and 6.1% more CPU than tiles of 2, and the untiled
+# 14-row block 7.2% more; on that block apply_multipath took 39-42 us per
+# row against 103-124 untiled.
+_MULTIPATH_TILE_BYTES = 72 << 10
+
+
 def apply_multipath(frame: BasebandFrame, spec: MultipathSpec) -> BasebandFrame:
     """Linear convolution with the sparse tap set; output grows by max delay.
 
-    A block (..., n) convolves every row with the same taps.
+    A block (..., n) convolves every row with the same taps, a tile of
+    rows under ``_MULTIPATH_TILE_BYTES`` at a time; each row gets the bits
+    of a call on that row alone.
     """
     x = np.atleast_1d(np.asarray(frame.samples, dtype=complex))
     n = x.shape[-1]
@@ -251,10 +281,15 @@ def apply_multipath(frame: BasebandFrame, spec: MultipathSpec) -> BasebandFrame:
             f"max delay {spec.max_delay} >= frame length {n}"
         )
     out = np.zeros(x.shape[:-1] + (n + spec.max_delay,), dtype=complex)
-    product = np.empty_like(x)  # one buffer for every tap's product
-    for delay, gain in zip(spec.tap_delays, spec.tap_gains):
-        np.multiply(gain, x, out=product)
-        out[..., delay:delay + n] += product
+    rows, out_rows = x.reshape(-1, n), out.reshape(-1, out.shape[-1])
+    tile = max(1, _MULTIPATH_TILE_BYTES // (n * x.itemsize))
+    product = np.empty((min(tile, len(rows)), n), dtype=complex)  # every tap's product
+    for start in range(0, len(rows), tile):
+        x_tile, out_tile = rows[start:start + tile], out_rows[start:start + tile]
+        tile_product = product[:len(x_tile)]
+        for delay, gain in zip(spec.tap_delays, spec.tap_gains):
+            np.multiply(gain, x_tile, out=tile_product)
+            out_tile[:, delay:delay + n] += tile_product
     return BasebandFrame(out, frame.sample_rate)
 
 

@@ -22,7 +22,8 @@ so each cutoff's round-off-level EVM depends neither on the other cutoffs
 nor on the other frames, and metrics.evm scores all the rows in one call
 with the bits of a call per row.  The EVM totals are summed frame by frame
 in trial order.  Trial bits come from metrics.TrialBits, the raw PCG64
-output of the same seeds.
+output of the same seeds, and ber-fading's noise rows from the same seed
+hash (metrics.TrialSeeds).
 """
 
 from __future__ import annotations
@@ -227,6 +228,9 @@ def run_ber_fading(cfg: ExperimentConfig) -> ResultTable:
         chain = systems[name]
         payloads = metrics.TrialBits([cfg.seed, s_index],
                                      [len(ebn0_grid), n_frames], bits_per_frame)
+        # noise row [seed, s, e, trial, 1], hashed once per system
+        noise_seeds = metrics.TrialSeeds.grid([cfg.seed, s_index],
+                                              [len(ebn0_grid), n_frames], [1])
         for e_index, noise in enumerate(noise_levels):
             errors = 0
             for trials in metrics.trial_blocks(n_frames, chain.frame_length):
@@ -236,8 +240,7 @@ def run_ber_fading(cfg: ExperimentConfig) -> ResultTable:
                 frame = modem.ofdm_modulate(modem.map_bits(bits, spec), chain)
                 frame = channelmod.apply_multipath(frame, profile)
                 frame = channelmod.awgn(frame, dataclasses.replace(
-                    noise, seed=[[cfg.seed, s_index, e_index, trial, 1]
-                                 for trial in trials],
+                    noise, seed=noise_seeds[e_index, trials.start:trials.stop],
                 ))
                 estimate = channelmod.equalize(frame, profile, chain)
                 del frame

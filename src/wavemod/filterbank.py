@@ -287,13 +287,35 @@ def _one_band_gemv(rows, idx, taps):
     return outs
 
 
+def _is_haar(pair: WaveletFilterPair) -> bool:
+    """Whether a two-tap pair has Haar's taps, h = (s, s) and g = (s, -s)
+    for a nonzero s (so == compares bits: a zero tap may be -0.0)."""
+    h, g = pair.h, pair.g
+    return h[0] != 0 and h[0] == h[1] == g[0] == -g[1]
+
+
+def _haar_butterfly(u, v, s, sum_out=None, diff_out=None):
+    """(u*s + v*s, u*s + v*(-s)), the two-tap formula for Haar's taps, from
+    the two products p = u*s and q = v*s alone, as (p + q, p - q), written
+    into sum_out and diff_out when given.
+
+    On real samples, and on complex samples whose parts hold no -0.0, the
+    bytes equal the general formula's, because v*(-s) == -(v*s) and
+    p + (-q) == p - q hold exactly.  numpy multiplies a complex sample by
+    s as (s + 0j), so a -0.0 part can flip the sign of a zero result."""
+    p = u * s
+    q = v * s
+    return np.add(p, q, out=sum_out), np.subtract(p, q, out=q if diff_out is None else diff_out)
+
+
 def analysis_step(x, pair: WaveletFilterPair):
     """One decimating analysis step: a[k] = sum_n h[n-2k] x[n], same for g.
 
     Uses periodic extension.  Accepts (..., n) arrays and returns a pair of
     (..., n/2) arrays, frames laid out as in :func:`_windowed_products`.
     A two-tap pair runs elementwise on the even and odd samples,
-    a = even*h[0] + odd*h[1]; a longer pair takes the windowed products of
+    a = even*h[0] + odd*h[1] (Haar's taps share the products; see
+    :func:`_haar_butterfly`); a longer pair takes the windowed products of
     windows x[..., 2k + p], whose summation order that function sets.
 
     Raises BadLength for an empty or 0-d input and OddLength for an odd n.
@@ -306,6 +328,8 @@ def analysis_step(x, pair: WaveletFilterPair):
     if pair.length == 2:
         even, odd = x[..., 0::2], x[..., 1::2]
         h, g = pair.h, pair.g
+        if _is_haar(pair):
+            return _haar_butterfly(even, odd, h[0])
         return even * h[0] + odd * h[1], even * g[0] + odd * g[1]
     a, d = _windowed_products(x, pair.length, 2, 1, (pair.h, pair.g))
     return a, d
@@ -319,7 +343,8 @@ def synthesis_step(a, d, pair: WaveletFilterPair):
 
         x[2m + r] = sum_p h[2p + r] a[m - p] + g[2p + r] d[m - p].
 
-    Frames are laid out as in :func:`analysis_step`.  Longer pairs take the
+    Frames are laid out as in :func:`analysis_step`.  Haar's taps share the
+    products of a and d (:func:`_haar_butterfly`).  Longer pairs take the
     windowed products of windows of L/2 subband samples, a[..., m - p], once
     for a and once for d, so every frame of a block of any size gives the
     bits of a call on that frame alone.  Raises BadLength for empty or 0-d
@@ -336,8 +361,11 @@ def synthesis_step(a, d, pair: WaveletFilterPair):
     out = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=np.result_type(a, d, pair.h))
     h, g = pair.h, pair.g
     if pair.length == 2:
-        out[..., 0::2] = a * h[0] + d * g[0]
-        out[..., 1::2] = a * h[1] + d * g[1]
+        if _is_haar(pair):
+            _haar_butterfly(a, d, h[0], out[..., 0::2], out[..., 1::2])
+        else:
+            out[..., 0::2] = a * h[0] + d * g[0]
+            out[..., 1::2] = a * h[1] + d * g[1]
         return out
     even_a, odd_a = _windowed_products(a, pair.length // 2, 1, -1, (h[0::2], h[1::2]))
     even_d, odd_d = _windowed_products(d, pair.length // 2, 1, -1, (g[0::2], g[1::2]))

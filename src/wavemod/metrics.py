@@ -178,29 +178,71 @@ def _entropy_words(value: int) -> list[int]:
     return words
 
 
+class TrialSeeds:
+    """PCG64 seed words of a grid of seeded Monte-Carlo trials.
+
+    Trial `index` (a position in the grid) is seeded exactly as
+    default_rng([*prefix, *index, *suffix]).  The seeds of all trials are
+    hashed at once (each int split into its uint32 words, as SeedSequence
+    does) into ``words``, a read-only (*grid, 4) uint64 array;
+    ``seeds[index]`` is the TrialSeeds of a sub-grid.  :meth:`reseed`
+    sets one reused PCG64 to each trial's state in turn, so no trial
+    builds its own generator.  A negative int raises ValueError, as in
+    default_rng.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    @classmethod
+    def grid(cls, prefix, shape, suffix=()) -> "TrialSeeds":
+        """Seeds of every trial of a grid of the given shape."""
+        def split(values):
+            return [word for value in values for word in _entropy_words(int(value))]
+
+        prefix, suffix, shape = split(prefix), split(suffix), tuple(shape)
+        entropy = np.concatenate([
+            np.broadcast_to(np.array(prefix, dtype=np.uint32), shape + (len(prefix),)),
+            np.moveaxis(np.indices(shape, dtype=np.uint32), 0, -1),
+            np.broadcast_to(np.array(suffix, dtype=np.uint32), shape + (len(suffix),)),
+        ], axis=-1)
+        words = _seed_words(entropy)
+        words.flags.writeable = False
+        return cls(words)
+
+    def __getitem__(self, index) -> "TrialSeeds":
+        return TrialSeeds(self.words[index])
+
+    def reseed(self, bitgen: np.random.PCG64):
+        """Set bitgen to each trial's PCG64 state in turn (the trials in C
+        order), yielding the trial's flat position after each."""
+        for row, (w0, w1, w2, w3) in enumerate(self.words.reshape(-1, 4).tolist()):
+            # pcg64_set_seed: inc = 2 * seq + 1, then two LCG steps from 0
+            inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
+            state = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & _MASK128
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield row
+
+
 class TrialBits:
     """0/1 payloads of a grid of seeded Monte-Carlo trials.
 
     Trial `index` (a position in `shape`) gets exactly
-    default_rng([*prefix, *index]).integers(0, 2, n_bits).  The seeds of
-    all trials are hashed at once (each prefix int split into its uint32
-    words, as SeedSequence does) and each trial's bits are raw output of
-    one reused PCG64 whose state is set from its four seed words:
-    integers(0, 2) is numpy's Lemire draw, which returns bit 31 and then
-    bit 63 of each 64-bit output.  Only the seed words are kept, never the
-    bits of all trials.  A negative prefix raises ValueError, as in
-    default_rng.
+    default_rng([*prefix, *index]).integers(0, 2, n_bits).  The trials'
+    seeds are one :class:`TrialSeeds` grid, and each trial's bits are raw
+    output of one reused PCG64 set from its seed words: integers(0, 2) is
+    numpy's Lemire draw, which returns bit 31 and then bit 63 of each
+    64-bit output.  Only the seed words are kept, never the bits of all
+    trials.  A negative prefix raises ValueError, as in default_rng.
     """
 
     def __init__(self, prefix, shape, n_bits: int):
-        prefix = [word for value in prefix for word in _entropy_words(int(value))]
-        shape = tuple(shape)
-        entropy = np.concatenate([
-            np.broadcast_to(np.array(prefix, dtype=np.uint32),
-                            shape + (len(prefix),)),
-            np.moveaxis(np.indices(shape, dtype=np.uint32), 0, -1),
-        ], axis=-1)
-        self._words = _seed_words(entropy)
+        self._seeds = TrialSeeds.grid(prefix, shape)
         self._bitgen = np.random.PCG64(0)
         self._n_bits = n_bits
 
@@ -208,18 +250,9 @@ class TrialBits:
         """Bits (len(trials), n_bits) of the trials at index: leading grid
         positions, then a range of positions along the last axis."""
         *lead, trials = index
-        words = self._words[tuple(lead) + (slice(trials.start, trials.stop),)]
-        raw = np.empty((len(words), (self._n_bits + 1) // 2), dtype=np.uint64)
-        for row, (w0, w1, w2, w3) in enumerate(words.tolist()):
-            # pcg64_set_seed: inc = 2 * seq + 1, then two LCG steps from 0
-            inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
-            state = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & _MASK128
-            self._bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+        seeds = self._seeds[tuple(lead) + (slice(trials.start, trials.stop),)]
+        raw = np.empty((len(seeds.words), (self._n_bits + 1) // 2), dtype=np.uint64)
+        for row in seeds.reseed(self._bitgen):
             raw[row] = self._bitgen.random_raw(raw.shape[1])
         bits = np.empty(raw.shape + (2,), dtype=np.uint64)
         np.right_shift(raw, 31, out=bits[..., 0])

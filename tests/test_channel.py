@@ -116,18 +116,43 @@ class TestAwgn:
                                    + 1j * rng.standard_normal(shape))
         assert_array_equal(ch._draw_noise([4, 2], shape, scale), want)
 
-    def test_row_seeds_draw_each_row_alone(self):
-        """Per-row seeds: row b has the bits of its own generator's
-        standard_normal(n) + 1j * standard_normal(n), times its scale."""
-        seeds = [[9, row, 1] for row in range(4)]
-        scale = np.array([1.0, 0.25, 3.0, 1e-3])
-        got = ch._draw_noise(np.reshape(seeds, (2, 2, 3)), (2, 2, 32),
-                             scale.reshape(2, 2))
+    @pytest.mark.parametrize("prefix, suffix", [
+        ([9], [1]),
+        ([2**32], [1]),
+        ([7, 2**40], [2**32 + 5]),
+    ])
+    def test_row_seeds_draw_each_row_alone(self, prefix, suffix):
+        """Per-row seeds, as entropy rows or hashed once as a TrialSeeds
+        grid: row b has the bits of its own generator's standard_normal(n)
+        + 1j * standard_normal(n), times its scale.  Entries of 2**32 and
+        more span several uint32 entropy words."""
+        seeds = [prefix + [i, j] + suffix for i in range(2) for j in range(2)]
+        hashed = metrics.TrialSeeds.grid(prefix, (2, 2), suffix)
+        assert hashed.words.shape == (2, 2, 4) and hashed.words.dtype == np.uint64
         for row, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            want = scale[row] * (rng.standard_normal(32)
-                                 + 1j * rng.standard_normal(32))
-            assert_array_equal(got.reshape(4, 32)[row], want)
+            assert_array_equal(hashed.words.reshape(4, 4)[row],
+                               np.random.SeedSequence(seed).generate_state(4, np.uint64))
+        scale = np.array([1.0, 0.25, 3.0, 1e-3])
+        for per_row in (np.reshape(np.array(seeds, dtype=object), (2, 2, -1)), hashed):
+            got = ch._draw_noise(per_row, (2, 2, 32), scale.reshape(2, 2))
+            for row, seed in enumerate(seeds):
+                rng = np.random.default_rng(seed)
+                want = scale[row] * (rng.standard_normal(32)
+                                     + 1j * rng.standard_normal(32))
+                assert_array_equal(got.reshape(4, 32)[row], want)
+
+    def test_hashed_row_seeds_through_awgn(self):
+        """A TrialSeeds sub-grid is a valid AwgnSpec seed and gives the
+        bytes of the same rows given as entropy rows; its grid must match
+        the block's rows."""
+        block = frame_of(np.ones((3, 64)))
+        grid = metrics.TrialSeeds.grid([5, 2], (4, 6), [1])
+        spec = ch.AwgnSpec(snr_db=3.0, seed=grid[1, 2:5])
+        rows = [[5, 2, 1, trial, 1] for trial in range(2, 5)]
+        want = ch.awgn(block, dataclasses.replace(spec, seed=rows)).samples
+        assert ch.awgn(block, spec).samples.tobytes() == want.tobytes()
+        with pytest.raises(LengthMismatch):
+            ch.awgn(block, dataclasses.replace(spec, seed=grid[1, :2]))
 
 
 class TestMultipath:
@@ -174,6 +199,21 @@ class TestMultipath:
         for delay, gain in zip(spec.tap_delays, spec.tap_gains):
             want[..., delay:delay + 96] += gain * x
         assert_array_equal(ch.apply_multipath(frame_of(x), spec).samples, want)
+
+    @pytest.mark.parametrize("spec", [
+        ch.MultipathSpec.ten_path(seed=11),
+        ch.MultipathSpec(tap_delays=[0, 3, 7], tap_gains=[1.0, 0.5j, -0.25]),
+    ], ids=["ten-path", "sparse"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    def test_tiled_block_equals_row_calls_bytes(self, rows, spec):
+        """Rows of ber-fading's length fill tiles of _MULTIPATH_TILE_BYTES
+        unevenly; every row keeps the bytes of a call on it alone."""
+        n = 2304
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        got = ch.apply_multipath(frame_of(x), spec).samples
+        want = np.stack([ch.apply_multipath(frame_of(row), spec).samples for row in x])
+        assert got.tobytes() == want.tobytes()
 
     def test_output_length(self):
         spec = ch.MultipathSpec.ten_path(seed=8)

@@ -339,6 +339,43 @@ class TestTwoTapKernel:
             for r in coeffs
         ]))
 
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_haar_butterfly_keeps_the_general_formula_bytes(self, complex_valued):
+        """Haar's shared products (p + q, p - q) against the written-out
+        two-tap formula, on blocks that hold zero samples."""
+        pair = fb.make_filter("haar")
+        assert fb._is_haar(pair)
+        h, g = pair.h, pair.g
+        x, a, d = (random_block((4, 64), seed, complex_valued) for seed in (27, 28, 29))
+        for block in (x, a, d):
+            block[:, ::5] = 0.0
+        even, odd = x[..., 0::2], x[..., 1::2]
+        want = (even * h[0] + odd * h[1], even * g[0] + odd * g[1])
+        for got, expected in zip(fb.analysis_step(x, pair), want):
+            assert got.tobytes() == expected.tobytes()
+        out = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.dtype)
+        out[..., 0::2] = a * h[0] + d * g[0]
+        out[..., 1::2] = a * h[1] + d * g[1]
+        assert fb.synthesis_step(a, d, pair).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("h, g", [
+        ([SQRT2 / 2, np.nextafter(SQRT2 / 2, 1.0)], [SQRT2 / 2, -SQRT2 / 2]),
+        ([SQRT2 / 2, SQRT2 / 2], [SQRT2 / 2, SQRT2 / 2]),
+        ([0.0, 0.0], [0.0, -0.0]),
+    ], ids=["perturbed-h", "same-sign-g", "zero"])
+    def test_other_two_tap_pairs_take_the_general_formula(self, h, g):
+        pair = fb.WaveletFilterPair(h=h, g=g, family="custom")
+        assert not fb._is_haar(pair)
+        x = random_block((3, 32), seed=30)
+        even, odd = x[..., 0::2], x[..., 1::2]
+        a, d = fb.analysis_step(x, pair)
+        assert a.tobytes() == (even * pair.h[0] + odd * pair.h[1]).tobytes()
+        assert d.tobytes() == (even * pair.g[0] + odd * pair.g[1]).tobytes()
+        out = np.empty(x.shape, dtype=complex)
+        out[..., 0::2] = even * pair.h[0] + odd * pair.g[0]
+        out[..., 1::2] = even * pair.h[1] + odd * pair.g[1]
+        assert fb.synthesis_step(even, odd, pair).tobytes() == out.tobytes()
+
     @pytest.mark.parametrize("table, args", [
         (fb._window_index, (64, 4, 2, 1)),
         (fb._window_index, (64, 4, 1, -1)),
