@@ -6,6 +6,10 @@ derive from ConfigError, runtime numerical problems from NumericalError;
 the CLI maps those to exit codes 2 and 3 respectively.
 """
 
+import contextlib
+
+import numpy as np
+
 
 class WavemodError(Exception):
     """Base class for all library errors."""
@@ -103,3 +107,14 @@ class FrameTooShort(ConfigError):
 
 class ZeroBandwidth(NumericalError):
     """Measured bandwidth is zero, spectral efficiency undefined."""
+
+
+@contextlib.contextmanager
+def numerical_errors(what: str):
+    """Run the block with numpy's overflow, invalid and divide warnings
+    raised, and re-raise such a failure as NumericalError naming what."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalError(f"{what}: {exc}") from None

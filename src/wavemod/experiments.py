@@ -44,7 +44,7 @@ from .configio import (
     parse_str_list,
     provenance_for,
 )
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, numerical_errors
 
 SYSTEM_ORDER = ("wpm", "ofdm", "sc_wpm", "sc_ofdm")
 
@@ -439,8 +439,5 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
         raise ConfigError(
             f"unknown experiment {name!r} (choose from {sorted(RUNNERS)})"
         )
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return RUNNERS[name](cfg)
-    except FloatingPointError as exc:
-        raise NumericalError(f"{name}: {exc}") from None
+    with numerical_errors(name):
+        return RUNNERS[name](cfg)

@@ -12,19 +12,31 @@ figures.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    BitCountMismatch,
     ConfigError,
     FrameTooShort,
     LengthMismatch,
     ZeroBandwidth,
     ZeroEnergy,
     ZeroReferenceSymbol,
+    numerical_errors,
 )
-from .modem import BasebandFrame, ConstellationSpec, OfdmConfig, map_bits, ofdm_modulate
+from .modem import (
+    BasebandFrame,
+    ConstellationSpec,
+    OfdmConfig,
+    _numbers,
+    _transmit_body,
+    map_bits,
+    ofdm_modulate,
+)
 
 
 def papr_db(frame: BasebandFrame):
@@ -33,12 +45,13 @@ def papr_db(frame: BasebandFrame):
     A float for one frame; for a block (..., n) an array of one PAPR per row.
     """
     x = np.asarray(frame.samples)
-    power = x.real**2
-    power += x.imag**2
-    peak = np.max(power, axis=-1, initial=0.0)
-    if power.size == 0 or not np.all(peak > 0):
-        raise ZeroEnergy("PAPR undefined for an empty or silent frame")
-    ratio = 10.0 * np.log10(peak / np.mean(power, axis=-1))
+    with numerical_errors("papr_db"):
+        power = x.real**2
+        power += x.imag**2
+        peak = np.max(power, axis=-1, initial=0.0)
+        if power.size == 0 or not np.all(peak > 0):
+            raise ZeroEnergy("PAPR undefined for an empty or silent frame")
+        ratio = 10.0 * np.log10(peak / np.mean(power, axis=-1))
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
@@ -94,8 +107,10 @@ class CcdfCurve:
 # makes every output byte independent of the block size.  The size is set
 # by memory: each chain stage writes only into arrays it allocated and frees
 # its block-sized temporaries before the next, so a warm study peaks at 2.5
-# blocks of traced memory in papr-ccdf and 4.0 in ber-fading (4.6 and 8.1
-# with the stages' earlier temporaries, which held the block at 256 KiB).
+# blocks of traced memory in papr-ccdf (2.52, wpm, with papr_ccdf's transmit
+# path, whose block arrays are freed before the next block's) and 4.0 in
+# ber-fading (4.6 and 8.1 with the stages' earlier temporaries, which held
+# the block at 256 KiB).
 # On the benchmark (2 vCPUs, 10 alternating pairs) this size ran papr-tx at
 # 12513 frames/s against 10447 for 256 KiB blocks with those temporaries
 # (faster in 10 of 10), for +0.63 MB (+1.6%) peak RSS; ber-link (5 pairs)
@@ -239,6 +254,13 @@ class TrialBits:
     numpy's Lemire draw, which returns bit 31 and then bit 63 of each
     64-bit output.  Only the seed words are kept, never the bits of all
     trials.  A negative prefix raises ValueError, as in default_rng.
+
+    :meth:`symbols` draws the same payloads as constellation symbols,
+    equal to map_bits(bits, spec): each raw word carries the two bits
+    ``((w >> 30) & 2) | (w >> 63)``, first bit high, so a word is one QPSK
+    symbol, two words one QAM16 symbol and one word two BPSK symbols.  It
+    builds the alphabet indices from the words and makes no bit array, and
+    it skips map_bits' check, since the bits come from the generator.
     """
 
     def __init__(self, prefix, shape, n_bits: int):
@@ -246,19 +268,76 @@ class TrialBits:
         self._bitgen = np.random.PCG64(0)
         self._n_bits = n_bits
 
-    def __call__(self, *index) -> np.ndarray:
-        """Bits (len(trials), n_bits) of the trials at index: leading grid
-        positions, then a range of positions along the last axis."""
+    def _raw(self, index) -> np.ndarray:
+        """Raw PCG64 words (len(trials), ceil(n_bits / 2)) of the trials at
+        index, as in :meth:`__call__`."""
         *lead, trials = index
         seeds = self._seeds[tuple(lead) + (slice(trials.start, trials.stop),)]
         raw = np.empty((len(seeds.words), (self._n_bits + 1) // 2), dtype=np.uint64)
         for row in seeds.reseed(self._bitgen):
             raw[row] = self._bitgen.random_raw(raw.shape[1])
+        return raw
+
+    def __call__(self, *index) -> np.ndarray:
+        """Bits (len(trials), n_bits) of the trials at index: leading grid
+        positions, then a range of positions along the last axis."""
+        raw = self._raw(index)
         bits = np.empty(raw.shape + (2,), dtype=np.uint64)
         np.right_shift(raw, 31, out=bits[..., 0])
         bits[..., 0] &= np.uint64(1)
         np.right_shift(raw, 63, out=bits[..., 1])
         return bits.reshape(len(raw), -1)[:, :self._n_bits].view(np.int64)
+
+    def symbols(self, spec: ConstellationSpec, *index) -> np.ndarray:
+        """Symbols (len(trials), n_bits / k) of the trials at index, equal
+        to map_bits(self(*index), spec); other odd k than 1 are mapped from
+        the bits."""
+        k = spec.bits_per_symbol
+        if self._n_bits % k:
+            raise BitCountMismatch(f"{self._n_bits} bits not divisible by {k}")
+        if k % 2 and k != 1:
+            return map_bits(self(*index), spec)
+        raw = self._raw(index)
+        pairs = np.right_shift(raw, 30)
+        pairs &= np.uint64(2)
+        pairs |= np.right_shift(raw, 63)
+        pairs = pairs.view(np.int64)
+        if k == 1:
+            code = np.stack([pairs >> 1, pairs & 1], axis=-1)
+            code = code.reshape(len(raw), -1)[:, :self._n_bits]
+        else:
+            pairs = pairs.reshape(len(raw), -1, k // 2)
+            code = pairs[..., 0]
+            for i in range(1, k // 2):
+                code = (code << 2) | pairs[..., i]
+        return spec.alphabet[code]
+
+
+# Rows whose fast linear PAPR lies within this many dB of a threshold are
+# recomputed alone on the exact path.  The fast ratio differs from the exact
+# one by about 1e-14 relative (about 5e-15 dB); at the defaults the PAPR
+# nearest any threshold lies 3.7e-7 dB from it (ofdm), so no row is recomputed.
+_PAPR_GUARD_DB = 1e-9
+_PAPR_GUARD = math.expm1(_PAPR_GUARD_DB / 10.0 * math.log(10.0))
+
+
+def _papr_ratios(symbols: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+    """Linear PAPR of each frame of ofdm_modulate(symbols, cfg), within
+    round-off, from the body before the FIR energy rescale and the cyclic
+    prefix: the peak is the body's, since the prefix copies its tail, and
+    the mean power adds the last cp_length samples' power once more.  The
+    block's arrays are freed on return."""
+    body, _ = _transmit_body(symbols, cfg)
+    power = body.real**2
+    power += body.imag**2
+    peak = np.max(power, axis=-1)
+    if np.any(peak == 0.0):
+        raise ZeroEnergy("PAPR undefined for an empty or silent frame")
+    total = np.sum(power, axis=-1)
+    cp = cfg.cp_length
+    if cp:
+        total += np.sum(power[..., -cp:], axis=-1)
+    return peak * cfg.frame_length / total
 
 
 def papr_ccdf(cfg: OfdmConfig, spec: ConstellationSpec, n_symbols: int,
@@ -268,18 +347,40 @@ def papr_ccdf(cfg: OfdmConfig, spec: ConstellationSpec, n_symbols: int,
     Trial k draws default_rng([seed, k]).integers(0, 2, n_bits) as its bits
     (through :class:`TrialBits`, which takes them from raw PCG64 output), so
     the curve does not depend on how the trials are split into blocks.
+
+    The counts are those of papr_db(ofdm_modulate(...)) > thresholds_db,
+    frame by frame, but each block is measured by :func:`_papr_ratios`
+    and compared in linear power with 10**(t / 10), the thresholds clipped
+    to [-1, 10 log10(frame_length) + 1] dB, beyond which no PAPR lies.  A
+    row whose ratio lies within _PAPR_GUARD_DB of a threshold, or is not
+    finite, is recomputed alone on the exact path, which gives a block
+    row's bytes.  Thresholds that are not strictly ascending numbers are
+    rejected before the first trial.
     """
-    if n_symbols < 1:
-        raise ConfigError("need at least one symbol")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    thresholds_db = np.asarray(thresholds_db, dtype=float)
+    if not isinstance(n_symbols, numbers.Integral) or n_symbols < 1:
+        raise ConfigError(f"need a whole number of symbols >= 1, got {n_symbols!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    thresholds_db = _numbers(thresholds_db, "thresholds", float)
+    if (thresholds_db.ndim != 1 or np.any(np.isnan(thresholds_db))
+            or not np.all(np.diff(thresholds_db) > 0)):
+        raise ConfigError("thresholds must be strictly ascending numbers")
+    frame_length = cfg.frame_length
+    top_db = 10.0 * math.log10(frame_length) + 1.0
+    limits = 10.0 ** (np.clip(thresholds_db, -1.0, top_db) / 10.0)
     counts = np.zeros(len(thresholds_db), dtype=np.int64)
     payloads = TrialBits([seed], [n_symbols],
                          cfg.n_subcarriers * spec.bits_per_symbol)
-    for trials in trial_blocks(n_symbols, cfg.frame_length):
-        values = papr_db(ofdm_modulate(map_bits(payloads(trials), spec), cfg))
-        counts += np.sum(values[:, None] > thresholds_db, axis=0)
+    for trials in trial_blocks(n_symbols, frame_length):
+        symbols = payloads.symbols(spec, trials)
+        with numerical_errors("papr_ccdf"):
+            ratio = _papr_ratios(symbols, cfg)
+        exceeds = ratio[:, None] > limits
+        near = np.abs(ratio[:, None] / limits - 1.0) <= _PAPR_GUARD
+        for row in np.flatnonzero(near.any(axis=1) | ~np.isfinite(ratio)):
+            frame = ofdm_modulate(symbols[row], cfg)
+            exceeds[row] = papr_db(frame) > thresholds_db
+        counts += np.sum(exceeds, axis=0)
     return CcdfCurve(thresholds_db, counts / n_symbols, n_symbols,
                      exceed_counts=counts)
 

@@ -48,6 +48,7 @@ from .errors import (
     PeriodTooShort,
     StreamPulseCountMismatch,
     UnsupportedFamily,
+    numerical_errors,
 )
 from .filterbank import (
     DWT_PRUNED,
@@ -119,6 +120,15 @@ def constellation(kind: str) -> ConstellationSpec:
         raise ConfigError(f"unknown constellation {kind!r}") from None
 
 
+def _numbers(values, what: str, dtype=None) -> np.ndarray:
+    """values as an array; ConfigError when they are not numbers of one
+    rectangular shape."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an array of numbers") from None
+
+
 def map_bits(bits, spec: ConstellationSpec) -> np.ndarray:
     """Map a 0/1 array to unit-average-energy Gray constellation symbols.
 
@@ -126,7 +136,7 @@ def map_bits(bits, spec: ConstellationSpec) -> np.ndarray:
     Bits are bools, or integers or floats equal to 0 or 1; anything else
     raises ConfigError.
     """
-    bits = np.atleast_1d(np.asarray(bits))
+    bits = np.atleast_1d(_numbers(bits, "bits"))
     kind = bits.dtype.kind
     if kind in "iu":
         # 0/1 bits OR to 0 or 1; any other value, a negative too, sets another bit
@@ -268,7 +278,9 @@ class BasebandFrame:
     sample_rate: float
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
+        self.samples = _numbers(self.samples, "frame samples", complex)
+        if self.samples.ndim == 0:
+            raise ConfigError("frame samples need at least one axis")
         if not np.all(np.isfinite(self.samples.view(float))):
             raise ConfigError("frame contains non-finite samples")
 
@@ -331,17 +343,17 @@ def _fir_kernel_spectrum(m: int, os: int) -> np.ndarray:
     return spectrum
 
 
-def _fir_interpolate(x: np.ndarray, os: int) -> np.ndarray:
-    """Polyphase interpolation, circular, rescaled to preserve energy: a
+def _fir_upsample(x: np.ndarray, os: int) -> np.ndarray:
+    """Polyphase interpolation, circular, before the energy rescale: a
     zero-stuffed row's spectrum is its own spectrum over the os aliases,
     so the filter acts as the bin weights of :func:`_upsample`."""
     weights = _fir_kernel_spectrum(x.shape[-1] * os, os)
-    y = np.fft.ifft(_upsample(np.fft.fft(x), weights))
-    return _rescale(y, x)
+    return np.fft.ifft(_upsample(np.fft.fft(x), weights))
 
 
 def _fir_decimate(y: np.ndarray, os: int) -> np.ndarray:
-    """Inverse of :func:`_fir_interpolate` (exact in the noiseless case)."""
+    """Inverse of the rescaled :func:`_fir_upsample` (exact in the
+    noiseless case)."""
     return _rescale(y[..., ::os].copy(), y)  # y is the caller's
 
 
@@ -416,30 +428,9 @@ def _unprecode(vec: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     return idwt(SubbandSet.from_flat(vec, DWT_PRUNED, levels), cfg.pair)
 
 
-def _synthesize_body(vec: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
-    """Precoded symbol vector(s) (..., n) -> oversampled body (no CP)."""
-    if cfg.transform == FOURIER:
-        weights = _grid_weights(cfg.n_subcarriers, cfg.body_length,
-                                cfg.tx_rolloff)
-        return np.fft.ifft(_upsample(vec, weights), norm="ortho")
-    chips = iwpt(SubbandSet.from_flat(vec, WPT_FULL, cfg.levels), cfg.pair)
-    return _interpolate_chips(chips, cfg)
-
-
-def _interpolate_chips(chips: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
-    """Wavelet-packet chips (..., n) -> oversampled body (..., n * os)."""
-    os = cfg.oversampling
-    if os == 1:
-        return chips.copy()
-    if cfg.wpm_interp == INTERP_FIR:
-        return _fir_interpolate(chips, os)
-    weights = _grid_weights(cfg.n_subcarriers, cfg.body_length, None)
-    spec = np.fft.fft(chips, norm="ortho")
-    return np.fft.ifft(_upsample(spec, weights), norm="ortho")
-
-
 def _decimate_body(body: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
-    """Inverse of :func:`_interpolate_chips`."""
+    """Inverse of a wavelet-packet chain's oversampler: oversampled body
+    (..., n * os) -> chips (..., n)."""
     os = cfg.oversampling
     if os == 1:
         return body.copy()
@@ -492,29 +483,55 @@ def _analyze_body(body: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     return wpt(_decimate_body(body, cfg), cfg.pair, cfg.levels).coeffs
 
 
+def _transmit_body(symbols: np.ndarray, cfg: OfdmConfig):
+    """(body, target): the CP-less oversampled body of :func:`ofdm_modulate`
+    for complex symbol rows (..., n), before the FIR interpolator's energy
+    rescale, and the rows that rescale targets (the chips; None for every
+    chain without that stage).  body is an array allocated here."""
+    if cfg.transform == FOURIER:
+        weights = _grid_weights(cfg.n_subcarriers, cfg.body_length,
+                                cfg.tx_rolloff)
+        vec = _precode(symbols, cfg)
+        return np.fft.ifft(_upsample(vec, weights), norm="ortho"), None
+    if _precoder_cancels(cfg):
+        chips = symbols
+    else:
+        vec = _precode(symbols, cfg)
+        chips = iwpt(SubbandSet.from_flat(vec, WPT_FULL, cfg.levels), cfg.pair)
+    os = cfg.oversampling
+    if os == 1:
+        return chips.copy(), None
+    if cfg.wpm_interp == INTERP_FIR:
+        return _fir_upsample(chips, os), chips
+    weights = _grid_weights(cfg.n_subcarriers, cfg.body_length, None)
+    spec = np.fft.fft(chips, norm="ortho")
+    return np.fft.ifft(_upsample(spec, weights), norm="ortho"), None
+
+
 def ofdm_modulate(symbols, cfg: OfdmConfig) -> BasebandFrame:
     """One multicarrier symbol: precode, inverse transform, oversample, CP.
 
     symbols is (n_subcarriers,) for one frame or (..., n_subcarriers) for a
     block of frames; each row gives the same samples as it would alone.
     The cyclic prefix (Fourier chain only) is a copy of the frame tail, so
-    the CP-stripped body carries exactly the input symbol energy.  A
-    wavelet-packet precoder cancels against the packet synthesis when the
-    chain's pair is orthogonal, so with a shipped pair (taps equal to
-    make_filter's for its family) the chain skips both and oversamples the
-    symbols directly (equal to the composed chain within round-off).  Any
-    other pair, e.g. a perturbed one, runs both transforms.
+    the CP-stripped body carries exactly the input symbol energy; the FIR
+    interpolator of a wavelet-packet chain is rescaled, row by row, to the
+    chips' energy.  A wavelet-packet precoder cancels against the packet
+    synthesis when the chain's pair is orthogonal, so with a shipped pair
+    (taps equal to make_filter's for its family) the chain skips both and
+    oversamples the symbols directly (equal to the composed chain within
+    round-off).  Any other pair, e.g. a perturbed one, runs both transforms.
     """
-    symbols = np.asarray(symbols, dtype=complex)
+    symbols = _numbers(symbols, "symbols", complex)
     count = symbols.shape[-1] if symbols.ndim else 1
     if symbols.ndim == 0 or count != cfg.n_subcarriers:
         raise LengthMismatch(
             f"expected {cfg.n_subcarriers} symbols, got {count}"
         )
-    if _precoder_cancels(cfg):
-        body = _interpolate_chips(symbols, cfg)
-    else:
-        body = _synthesize_body(_precode(symbols, cfg), cfg)
+    with numerical_errors("ofdm_modulate"):
+        body, target = _transmit_body(symbols, cfg)
+        if target is not None:
+            _rescale(body, target)
     cp = cfg.cp_length
     if cp:
         samples = np.empty(body.shape[:-1] + (cp + body.shape[-1],),

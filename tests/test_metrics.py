@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import wavemod
-from wavemod import metrics, modem
+from wavemod import experiments, filterbank, metrics, modem
+from wavemod.configio import ExperimentConfig, parse_float_list
 from wavemod.errors import (
+    BitCountMismatch,
     ConfigError,
     FrameTooShort,
     LengthMismatch,
@@ -171,6 +174,162 @@ class TestTrialBits:
         ])
         expected = np.sum(values[:, None] > thresholds, axis=0)
         assert np.array_equal(curve.exceed_counts, expected)
+
+
+class TestTrialSymbols:
+    """The symbol draw equals map_bits of the bit draw, byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["bpsk", "qpsk", "qam16"])
+    @pytest.mark.parametrize("prefix", [[0], [2**32 + 5], [600000000 * 8 + 1]])
+    def test_equal_map_bits_of_the_bits(self, kind, prefix):
+        spec = modem.constellation(kind)
+        for n_symbols in (1, 7, 64):  # 7 BPSK symbols use half of a word
+            payloads = metrics.TrialBits(prefix, [6], n_symbols * spec.bits_per_symbol)
+            for trials in (range(0, 1), range(0, 6), range(3, 5)):
+                got = payloads.symbols(spec, trials)
+                want = modem.map_bits(payloads(trials), spec)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_grid_positions_and_other_symbol_widths(self):
+        eight = modem.ConstellationSpec("8psk", 3, np.exp(2j * np.pi * np.arange(8) / 8))
+        for spec in (QPSK, eight):
+            payloads = metrics.TrialBits([2**40, 3], [4, 5], 12 * spec.bits_per_symbol)
+            got = payloads.symbols(spec, 2, range(1, 4))
+            assert got.tobytes() == modem.map_bits(payloads(2, range(1, 4)), spec).tobytes()
+
+    def test_bit_count_must_fill_whole_symbols(self):
+        with pytest.raises(BitCountMismatch):
+            metrics.TrialBits([0], [2], 3).symbols(QPSK, range(0, 2))
+
+
+def _systems(**overrides):
+    """The four papr-ccdf transmitters at 64 subcarriers; a block holds 113
+    frames of 288 samples at the default oversampling and prefix."""
+    return experiments.system_configs(ExperimentConfig(modem_n_subcarriers=64, **overrides))
+
+
+def _exact_paprs(cfg, spec, n, seed):
+    """papr_db(ofdm_modulate(...)) of each of papr_ccdf's n frames alone."""
+    bits = metrics.TrialBits([seed], [n], cfg.n_subcarriers * spec.bits_per_symbol)
+    return np.array([metrics.papr_db(modem.ofdm_modulate(modem.map_bits(row, spec), cfg))
+                     for row in bits(range(0, n))])
+
+
+def _recorded_modulations(monkeypatch):
+    """Symbol rows of every ofdm_modulate call papr_ccdf makes from now on."""
+    calls = []
+    inner = metrics.ofdm_modulate
+
+    def wrapped(symbols, cfg):
+        calls.append(np.array(symbols))
+        return inner(symbols, cfg)
+
+    monkeypatch.setattr(metrics, "ofdm_modulate", wrapped)
+    return calls
+
+
+def _perturbed_systems():
+    """wpm and sc_wpm on a hand-built pair, which runs both packet transforms."""
+    haar = filterbank.make_filter("haar")
+    h = haar.h.copy()
+    h[0] += 0.01
+    pair = filterbank.WaveletFilterPair(h=h, g=haar.g, family="perturbed")
+    wpm = modem.OfdmConfig(64, modem.WAVELET_PACKET, pair, 6, oversampling=4)
+    return {"wpm": wpm, "sc_wpm": replace(wpm, precoder=modem.PRECODER_WPT)}
+
+
+class TestPaprGuard:
+    """papr_ccdf's fast path counts exactly what the exact path counts."""
+
+    @pytest.mark.parametrize("system", experiments.SYSTEM_ORDER)
+    def test_threshold_at_a_frames_exact_papr(self, monkeypatch, system):
+        """Thresholds at one frame's exact PAPR and 1e-12 dB either side:
+        the fast ratio cannot decide them, so the guard recomputes that
+        frame and the counts equal the exact path's."""
+        cfg, n, seed, k = _systems()[system], 24, 3, 17
+        values = _exact_paprs(cfg, QPSK, n, seed)
+        thresholds = values[k] + np.array([-1e-12, 0.0, 1e-12])
+        assert np.all(np.diff(thresholds) > 0)
+        calls = _recorded_modulations(monkeypatch)
+        curve = metrics.papr_ccdf(cfg, QPSK, n, thresholds, seed)
+        expected = np.sum(values[:, None] > thresholds, axis=0)
+        assert np.array_equal(curve.exceed_counts, expected)
+        assert expected[0] == expected[1] + 1  # frame k lies between them
+        bits = metrics.TrialBits([seed], [n], 128)(range(k, k + 1))
+        assert any(np.array_equal(call, modem.map_bits(bits, QPSK)[0]) for call in calls)
+
+    def test_guard_is_quiet_away_from_the_thresholds(self, monkeypatch):
+        calls = _recorded_modulations(monkeypatch)
+        thresholds = parse_float_list(ExperimentConfig().papr_thresholds_db)
+        for cfg in _systems().values():
+            metrics.papr_ccdf(cfg, QPSK, 130, thresholds, seed=9)
+        assert calls == []
+
+    @pytest.mark.parametrize("overrides", [
+        {"modem_tx_rolloff": 0.25},
+        {"modem_wpm_interp": "fft"},
+        {"modem_sc_precoder": "dwt"},
+        {"modem_cp_fraction": 0.0},
+        {"modem_oversampling": 1},
+        {"modem_constellation": "bpsk"},
+        {"modem_constellation": "qam16"},
+        {"perturbed": True},
+    ])
+    def test_non_default_configs_match_the_exact_path(self, overrides):
+        """130 frames cross a block boundary at oversampling 4."""
+        if overrides.pop("perturbed", False):
+            systems = _perturbed_systems()
+        else:
+            systems = _systems(**overrides)
+        spec = modem.constellation(overrides.get("modem_constellation", "qpsk"))
+        thresholds = parse_float_list(ExperimentConfig().papr_thresholds_db)
+        for seed, cfg in enumerate(systems.values()):
+            values = _exact_paprs(cfg, spec, 130, seed)
+            curve = metrics.papr_ccdf(cfg, spec, 130, thresholds, seed)
+            expected = np.sum(values[:, None] > thresholds, axis=0)
+            assert np.array_equal(curve.exceed_counts, expected)
+
+    @pytest.mark.parametrize("system", experiments.SYSTEM_ORDER)
+    def test_extreme_thresholds(self, system):
+        """Thresholds far outside [0, 10 log10(frame_length)] dB count as
+        they do on the exact path, with no overflow."""
+        cfg = _systems()[system]
+        top = 10.0 * np.log10(cfg.frame_length)
+        thresholds = [-np.inf, -1e300, 0.0, top, 1e300, np.inf]
+        curve = metrics.papr_ccdf(cfg, QPSK, 20, thresholds, seed=4)
+        expected = np.sum(_exact_paprs(cfg, QPSK, 20, 4)[:, None] > thresholds, axis=0)
+        assert np.array_equal(curve.exceed_counts, expected)
+        assert expected.tolist() == [20, 20, 20, 0, 0, 0]
+
+    def test_silent_frame_raises(self):
+        """Symbols of 0 give a silent frame, as on the exact path."""
+        zero = modem.ConstellationSpec("zero", 2, np.zeros(4, dtype=complex))
+        for cfg in _systems().values():
+            with pytest.raises(ZeroEnergy):
+                metrics.papr_ccdf(cfg, zero, 2, [3.0], seed=1)
+
+    @pytest.mark.parametrize("thresholds", [
+        [3.0, 2.0], [2.0, 2.0], [2.0, np.nan], [np.nan], [[2.0, 3.0]], 5.0, ["x"],
+    ])
+    def test_bad_thresholds_rejected_before_the_first_trial(self, monkeypatch, thresholds):
+        def transmit(*args, **kwargs):
+            raise AssertionError("a frame was transmitted")
+
+        monkeypatch.setattr(metrics, "_transmit_body", transmit)
+        monkeypatch.setattr(metrics, "ofdm_modulate", transmit)
+        with pytest.raises(ConfigError, match="thresholds"):
+            metrics.papr_ccdf(modem.OfdmConfig(64), QPSK, 3000, thresholds, seed=1)
+
+    def test_descending_config_thresholds_fail_before_any_trial(self, monkeypatch):
+        def transmit(*args, **kwargs):
+            raise AssertionError("a frame was transmitted")
+
+        monkeypatch.setattr(metrics, "_transmit_body", transmit)
+        cfg = ExperimentConfig(experiment="papr-ccdf", n_trials=3000,
+                               papr_thresholds_db="3,2")
+        with pytest.raises(ConfigError, match="ascending"):
+            experiments.run_experiment(cfg)
 
 
 class TestEvm:

@@ -1,6 +1,7 @@
 """Constellations, multicarrier chains, WSK and dyadic pulse shaping."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,8 +254,8 @@ class TestWaveletPacketChain:
             up = np.zeros((3, 512 * os_), dtype=complex)
             up[:, ::os_] = x
             kernel = modem._fir_kernel_spectrum(512 * os_, os_)
-            expected = modem._rescale(np.fft.ifft(np.fft.fft(up) * kernel), x)
-            assert np.max(np.abs(modem._fir_interpolate(x, os_) - expected)) < 1e-13
+            expected = np.fft.ifft(np.fft.fft(up) * kernel)
+            assert np.max(np.abs(modem._fir_upsample(x, os_) - expected)) < 1e-13
 
     def test_fir_kernel_spectrum_is_cached_and_read_only(self):
         spectrum = modem._fir_kernel_spectrum(2048, 4)
@@ -309,16 +310,19 @@ class TestPrecoders:
     @pytest.mark.parametrize("name", ["haar", "db2", "db10", "sym8", "coif3", "db20"])
     def test_cancelling_precoder_is_skipped(self, name, interp):
         """sc_wpm (wpt precoder, own pair and depth) equals the composed
-        chain within round-off."""
+        chain within round-off.  The composed chain runs on the same taps
+        under a family name no shipped pair has."""
+        pair = fb.make_filter(name)
         cfg = modem.OfdmConfig(
-            512, modem.WAVELET_PACKET, fb.make_filter(name), 9,
+            512, modem.WAVELET_PACKET, pair, 9,
             oversampling=4, precoder=modem.PRECODER_WPT, wpm_interp=interp,
         )
+        twin = fb.WaveletFilterPair(h=pair.h, g=pair.g, family="unshipped")
         rng = np.random.default_rng(17)
         spec = modem.constellation("qpsk")
         symbols = modem.map_bits(rng.integers(0, 2, (3, 1024)), spec)
         samples = modem.ofdm_modulate(symbols, cfg).samples
-        composed = modem._synthesize_body(modem._precode(symbols, cfg), cfg)
+        composed = modem.ofdm_modulate(symbols, replace(cfg, pair=twin)).samples
         assert np.max(np.abs(samples - composed)) < 1e-13
         estimate = modem.ofdm_demodulate(modem.BasebandFrame(samples, 1.0), cfg)
         composed = modem._unprecode(modem._analyze_body(samples, cfg), cfg)
@@ -362,9 +366,12 @@ class TestPrecoders:
                                oversampling=2, precoder=modem.PRECODER_WPT)
         symbols = np.exp(2j * np.pi * np.arange(64) / 7)
         samples = modem.ofdm_modulate(symbols, cfg).samples
-        composed = modem._synthesize_body(modem._precode(symbols, cfg), cfg)
+        chips = fb.iwpt(fb.SubbandSet.from_flat(modem._precode(symbols, cfg),
+                                                fb.WPT_FULL, 6), pair)
+        composed = modem._rescale(modem._fir_upsample(chips, 2), chips)
         assert np.array_equal(samples, composed)
-        assert np.max(np.abs(samples - modem._interpolate_chips(symbols, cfg))) > 1e-3
+        shortcut = modem._rescale(modem._fir_upsample(symbols, 2), symbols)
+        assert np.max(np.abs(samples - shortcut)) > 1e-3
         estimate = modem.ofdm_demodulate(modem.BasebandFrame(samples, 1.0), cfg)
         composed = modem._unprecode(modem._analyze_body(samples, cfg), cfg)
         assert np.array_equal(estimate, composed)
