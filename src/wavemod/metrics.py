@@ -290,8 +290,8 @@ class TrialBits:
 
     def symbols(self, spec: ConstellationSpec, *index) -> np.ndarray:
         """Symbols (len(trials), n_bits / k) of the trials at index, equal
-        to map_bits(self(*index), spec); other odd k than 1 are mapped from
-        the bits."""
+        to map_bits(self(*index), spec).  An odd k above 1 splits words
+        between symbols, so those symbols are mapped from the bits."""
         k = spec.bits_per_symbol
         if self._n_bits % k:
             raise BitCountMismatch(f"{self._n_bits} bits not divisible by {k}")
