@@ -26,16 +26,10 @@ from .filterbank import (
 from .metrics import (
     CcdfCurve,
     PsdEstimate,
-    WelchMethod,
-    PeriodogramMethod,
-    ber,
-    ccdf_to_csv,
     evm,
     occupied_bandwidth,
     papr_ccdf,
     papr_db,
-    psd,
-    psd_to_csv,
     spectral_efficiency,
 )
 from .modem import (
@@ -70,5 +64,25 @@ from .waveletdesign import (
     scaling_function,
     sidelobe_level,
 )
+
+__all__ = [
+    "AwgnSpec", "MultipathSpec", "apply_multipath", "awgn", "equalize",
+    "ExperimentConfig", "ResultTable", "load_config",
+    "ConfigError", "NumericalError", "WavemodError",
+    "SubbandSet", "WaveletFilterPair", "analysis_step", "dwt", "idwt", "iwpt",
+    "list_families", "make_filter", "synthesis_step", "verify_pr", "wpt",
+    "CcdfCurve", "PsdEstimate", "evm", "occupied_bandwidth", "papr_ccdf",
+    "papr_db", "spectral_efficiency",
+    "BasebandFrame", "ConstellationSpec", "OfdmConfig", "constellation",
+    "demap_symbols", "map_bits", "matched_filter_streams", "ofdm_demodulate",
+    "ofdm_modulate", "pulse_shape_dyadic", "rrc_bin_weights", "wsk_demodulate",
+    "wsk_modulate",
+    "ModifiedGaussianParams", "SampledWaveform", "ScalingFilter",
+    "SpectrumSamples", "derive_scaling_filter", "dyadic_pulse_set",
+    "lattice_orthonormality_residual", "mod_gauss_amplitude",
+    "mod_gauss_spectrum", "mod_gauss_time", "mother_wavelet",
+    "raised_cosine_pulse", "root_raised_cosine_pulse", "scaling_function",
+    "sidelobe_level",
+]
 
 __version__ = "0.1.0"

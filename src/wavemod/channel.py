@@ -303,16 +303,19 @@ def check_cyclic_prefix(channel: MultipathSpec, cfg: OfdmConfig) -> None:
         )
 
 
+_EQUALIZE_EPS = 1e-6  # floor on the channel response |H| (see equalize)
+
+
 @functools.lru_cache(maxsize=32)
-def _zero_forcing_bins(response_bytes: bytes, m: int, n: int, rolloff, eps):
+def _zero_forcing_bins(response_bytes: bytes, m: int, n: int, rolloff):
     """(occupied bins, channel response on them) for a Fourier body of m
     bins carrying n subcarriers, built once per impulse response (as
-    bytes), m, n, roll-off and eps, and shared read-only.  Raises
-    SingularChannel when the response falls below eps on an occupied bin."""
+    bytes), m, n and roll-off, and shared read-only.  Raises SingularChannel
+    when the response falls below _EQUALIZE_EPS on an occupied bin."""
     response = np.fft.fft(np.frombuffer(response_bytes, dtype=complex), n=m)
     occupied = np.nonzero(modem._grid_weights(n, m, rolloff) > 1e-12)[0]
     gains = response[occupied]
-    if np.any(np.abs(gains) < eps):
+    if np.any(np.abs(gains) < _EQUALIZE_EPS):
         raise SingularChannel(
             "channel response below eps on an occupied subcarrier"
         )
@@ -322,32 +325,32 @@ def _zero_forcing_bins(response_bytes: bytes, m: int, n: int, rolloff, eps):
 
 
 @functools.lru_cache(maxsize=32)
-def _deconvolution_filter(response_bytes: bytes, length: int, eps: float):
-    """(conj(H), |H|**2 + eps**2) of the length-bin channel response H,
-    built once per impulse response (as bytes), length and eps, and shared
-    read-only."""
+def _deconvolution_filter(response_bytes: bytes, length: int):
+    """(conj(H), |H|**2 + _EQUALIZE_EPS**2) of the length-bin channel
+    response H, built once per impulse response (as bytes) and length, and
+    shared read-only."""
     response = np.fft.fft(np.frombuffer(response_bytes, dtype=complex),
                           n=length)
     numerator = np.conj(response)
-    denominator = np.abs(response) ** 2 + eps**2
+    denominator = np.abs(response) ** 2 + _EQUALIZE_EPS**2
     numerator.flags.writeable = False
     denominator.flags.writeable = False
     return numerator, denominator
 
 
-def equalize(frame: BasebandFrame, channel: MultipathSpec, cfg: OfdmConfig,
-             eps: float = 1e-6) -> np.ndarray:
+def equalize(frame: BasebandFrame, channel: MultipathSpec,
+             cfg: OfdmConfig) -> np.ndarray:
     """Perfect-CSI zero-forcing equalization, then demodulation to symbols.
 
     Fourier chain: the cyclic prefix is stripped, one-tap ZF is applied per
     occupied bin of the body DFT, and the result is fed through the inverse
     precoder.  Raises SingularChannel when any occupied bin of the channel
-    response falls below eps, and otherwise ConfigError when the cyclic
-    prefix is shorter than the channel memory (max_delay samples).
+    response falls below _EQUALIZE_EPS, and otherwise ConfigError when the
+    cyclic prefix is shorter than the channel memory (max_delay samples).
 
     Wavelet-packet chain: the whole frame is deconvolved in the frequency
-    domain with an eps**2 Tikhonov floor (the chain has no prefix), then
-    demodulated normally.
+    domain with an _EQUALIZE_EPS**2 Tikhonov floor (the chain has no
+    prefix), then demodulated normally.
 
     A block of frames (..., length) gives a block of symbol rows.  The
     channel's frequency response is computed once per (taps, length) and
@@ -361,16 +364,15 @@ def equalize(frame: BasebandFrame, channel: MultipathSpec, cfg: OfdmConfig,
         if samples.shape[-1] < start + m:
             raise LengthMismatch("frame shorter than cyclic prefix plus body")
         occupied, gains = _zero_forcing_bins(
-            response_bytes, m, cfg.n_subcarriers, cfg.tx_rolloff, eps
+            response_bytes, m, cfg.n_subcarriers, cfg.tx_rolloff
         )
         check_cyclic_prefix(channel, cfg)
         spectrum = np.fft.fft(samples[..., start:start + m], norm="ortho")
         spectrum[..., occupied] /= gains
         return _unprecode(modem._fourier_bins(spectrum, cfg), cfg)
     # wavelet-packet: regularized full-frame deconvolution
-    numerator, denominator = _deconvolution_filter(
-        response_bytes, samples.shape[-1], eps
-    )
+    numerator, denominator = _deconvolution_filter(response_bytes,
+                                                   samples.shape[-1])
     spectrum = np.fft.fft(samples)
     spectrum *= numerator
     spectrum /= denominator

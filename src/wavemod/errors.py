@@ -101,10 +101,6 @@ class ZeroReferenceSymbol(ConfigError):
     """EVM reference symbols must be nonzero."""
 
 
-class FrameTooShort(ConfigError):
-    """Frame shorter than the PSD segment length."""
-
-
 class ZeroBandwidth(NumericalError):
     """Measured bandwidth is zero, spectral efficiency undefined."""
 

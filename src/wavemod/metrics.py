@@ -1,4 +1,4 @@
-"""Waveform and link quality metrics: PAPR, EVM, BER, PSD, bandwidth.
+"""Waveform and link quality metrics: PAPR, EVM, bandwidth, spectral efficiency.
 
 EVM follows the mean-of-power-ratios definition
 
@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     BitCountMismatch,
     ConfigError,
-    FrameTooShort,
     LengthMismatch,
     ZeroBandwidth,
     ZeroEnergy,
@@ -408,28 +407,6 @@ def evm(received, reference):
     return np.mean(ratio, axis=-1)
 
 
-def ber(tx_bits, rx_bits) -> float:
-    """Bit error rate: Hamming distance over length."""
-    tx_bits = np.asarray(tx_bits)
-    rx_bits = np.asarray(rx_bits)
-    if tx_bits.shape != rx_bits.shape:
-        raise LengthMismatch("bit streams differ in length")
-    if tx_bits.size == 0:
-        raise ConfigError("BER needs at least one bit")
-    return float(np.mean(tx_bits != rx_bits))
-
-
-@dataclass(frozen=True)
-class WelchMethod:
-    segment: int = 1024
-    overlap: float = 0.5
-
-
-@dataclass(frozen=True)
-class PeriodogramMethod:
-    pass
-
-
 @dataclass
 class PsdEstimate:
     """Two-sided power spectral density on an ascending frequency grid."""
@@ -437,7 +414,6 @@ class PsdEstimate:
     freqs: np.ndarray
     power_db: np.ndarray
     resolution_bw: float
-    method: object = None
 
     def __post_init__(self):
         self.freqs = np.asarray(self.freqs, dtype=float)
@@ -447,56 +423,6 @@ class PsdEstimate:
 
     def power_linear(self) -> np.ndarray:
         return 10.0 ** (self.power_db / 10.0)
-
-
-def psd(frame: BasebandFrame, method=None) -> PsdEstimate:
-    """Averaged-periodogram PSD of a frame (Welch, IEEE Trans. Audio
-    Electroacoust. 15(2), 1967): the mean of |fft(segment * window)|**2
-    over the frame's segments, divided by fs * sum(window**2).
-
-    WelchMethod (the default) cuts segments of ``segment`` samples,
-    ``segment - int(overlap * segment)`` apart, under a periodic Hann
-    window 0.5 - 0.5 cos(2 pi k / segment).  PeriodogramMethod takes the
-    whole frame as one boxcar segment.  The two-sided density, on the
-    ascending fftfreq grid of one segment, integrates to the frame's
-    average power within estimator tolerance.
-    """
-    x = np.asarray(frame.samples)
-    fs = float(frame.sample_rate)
-    if method is None:
-        method = WelchMethod(segment=min(1024, len(x)))
-    if isinstance(method, WelchMethod):
-        if len(x) < method.segment:
-            raise FrameTooShort(
-                f"frame ({len(x)}) shorter than Welch segment ({method.segment})"
-            )
-        step = method.segment - int(method.overlap * method.segment)
-        if method.segment < 2 or step < 1:
-            raise ConfigError(f"Welch needs segment >= 2 and overlap < 1: {method!r}")
-        k = np.arange(method.segment)
-        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * k / method.segment)
-    elif isinstance(method, PeriodogramMethod):
-        if len(x) == 0:
-            raise FrameTooShort("empty frame")
-        window, step = np.ones(len(x)), len(x)
-    else:
-        raise ConfigError(f"unknown PSD method {method!r}")
-    freqs, density = _averaged_periodogram(x, fs, window, step)
-    return PsdEstimate(
-        freqs=freqs,
-        power_db=10.0 * np.log10(np.maximum(density, 1e-300)),
-        resolution_bw=fs / len(window),
-        method=method,
-    )
-
-
-def _averaged_periodogram(x, fs: float, window: np.ndarray, step: int):
-    """(freqs, density): the estimate :func:`psd` states, on an ascending grid."""
-    segments = np.lib.stride_tricks.sliding_window_view(x, len(window))[::step]
-    power = np.mean(np.abs(np.fft.fft(segments * window)) ** 2, axis=0)
-    density = power / (fs * np.sum(window**2))
-    freqs = np.fft.fftfreq(len(window), d=1.0 / fs)
-    return np.fft.fftshift(freqs), np.fft.fftshift(density)
 
 
 def occupied_bandwidth(estimate: PsdEstimate, containment: float = 0.99) -> float:
@@ -527,19 +453,3 @@ def spectral_efficiency(bit_rate: float, bandwidth: float) -> float:
     if not bandwidth > 0.0:
         raise ZeroBandwidth(f"bandwidth must be positive, got {bandwidth}")
     return float(bit_rate) / float(bandwidth)
-
-
-def ccdf_to_csv(curve: CcdfCurve) -> str:
-    """Two-column CSV export: threshold_db,prob."""
-    lines = ["threshold_db,prob"]
-    for t, p in zip(curve.thresholds_db, curve.probabilities):
-        lines.append(f"{t:.10g},{p:.10g}")
-    return "\n".join(lines) + "\n"
-
-
-def psd_to_csv(estimate: PsdEstimate) -> str:
-    """Two-column CSV export: freq_hz,power_db."""
-    lines = ["freq_hz,power_db"]
-    for f, p in zip(estimate.freqs, estimate.power_db):
-        lines.append(f"{f:.10g},{p:.10g}")
-    return "\n".join(lines) + "\n"

@@ -304,14 +304,17 @@ def _fold(spec: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     return spec.reshape(spec.shape[:-1] + (spec.shape[-1] // n, n)).sum(axis=-2)
 
 
-def interpolation_filter(os: int, half_width: int = 32) -> np.ndarray:
+_INTERP_HALF_WIDTH = 32  # interpolation filter half-length, output samples
+
+
+def interpolation_filter(os: int) -> np.ndarray:
     """Windowed-sinc interpolation filter with the os-th-band property.
 
     The center sits on a multiple of os, so the taps vanish at every other
     multiple of os and decimating the interpolated stream at the right
     phase returns the original samples exactly.
     """
-    center = os * int(np.ceil(half_width / os))
+    center = os * int(np.ceil(_INTERP_HALF_WIDTH / os))
     k = np.arange(2 * center + 1)
     window = 0.5 + 0.5 * np.cos(np.pi * (k - center) / (center + 1))
     return np.sinc((k - center) / os) * window

@@ -421,7 +421,7 @@ def test_zero_forcing_bins_are_the_weighted_bins(rolloff):
     """The equalizer inverts the channel on the bins the modulator weights;
     without roll-off those are the 32 lowest positive and negative bins."""
     response = ch.MultipathSpec.ten_path().impulse_response().tobytes()
-    occupied, _ = ch._zero_forcing_bins(response, 256, 64, rolloff, 1e-6)
+    occupied, _ = ch._zero_forcing_bins(response, 256, 64, rolloff)
     weights = modem._grid_weights(64, 256, rolloff)
     assert_array_equal(occupied, np.nonzero(weights > 1e-12)[0])
     if rolloff is None:
@@ -438,10 +438,10 @@ def test_channel_response_is_computed_once_per_taps_and_length(name):
     response = profile.impulse_response().tobytes()
     if name == "ofdm":
         cache = ch._zero_forcing_bins
-        key = (response, cfg.body_length, cfg.n_subcarriers, None, 1e-6)
+        key = (response, cfg.body_length, cfg.n_subcarriers, None)
     else:
         cache = ch._deconvolution_filter
-        key = (response, frame.samples.shape[-1], 1e-6)
+        key = (response, frame.samples.shape[-1])
     cache.cache_clear()
     for _ in range(3):
         ch.equalize(frame, profile, cfg)

@@ -514,6 +514,7 @@ _EVM_REFERENCE_BLAS = (_CORENAME == "SkylakeX"
 
 
 @pytest.mark.parametrize("study, prefix", [
+    ("papr-ccdf", "68ef5bb503d8931d"),
     ("se-table", "bf3e265290a5702c"),
     ("modgauss-report", "a096cc57786e6b4e"),
     ("ber-fading", "4f77ae341ee0a667"),

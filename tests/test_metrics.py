@@ -1,4 +1,4 @@
-"""PAPR, CCDF, EVM, BER, PSD and bandwidth measurements."""
+"""PAPR, CCDF, EVM, bandwidth and spectral-efficiency measurements."""
 
 import os
 import subprocess
@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 import wavemod
 from wavemod import experiments, filterbank, metrics, modem
@@ -16,7 +15,6 @@ from wavemod.configio import ExperimentConfig, parse_float_list
 from wavemod.errors import (
     BitCountMismatch,
     ConfigError,
-    FrameTooShort,
     LengthMismatch,
     ZeroBandwidth,
     ZeroEnergy,
@@ -382,103 +380,10 @@ class TestEvm:
             metrics.evm(np.ones((2, 3)), np.ones((3, 3)))
 
 
-class TestBer:
-    def test_trivial_cases(self):
-        bits = np.array([0, 1, 1, 0, 1])
-        assert metrics.ber(bits, bits) == 0.0
-        assert metrics.ber(bits, 1 - bits) == 1.0
-
-    def test_single_flip(self):
-        tx = np.zeros(1000, dtype=int)
-        rx = tx.copy()
-        rx[123] = 1
-        assert metrics.ber(tx, rx) == 0.001
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            metrics.ber(np.zeros(4), np.zeros(5))
-
-
 class TestPsd:
-    def test_tone_peak_bin(self):
-        f0 = 0.125
-        n = 4096
-        frame = frame_of(np.exp(2j * np.pi * f0 * np.arange(n)), rate=1.0)
-        est = metrics.psd(frame, metrics.WelchMethod(segment=512))
-        peak_freq = est.freqs[int(np.argmax(est.power_db))]
-        assert abs(peak_freq - f0) <= est.resolution_bw
-
-    def test_white_noise_flat(self):
-        rng = np.random.default_rng(11)
-        n = 2**18
-        x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-        est = metrics.psd(frame_of(x), metrics.WelchMethod(segment=256))
-        median = np.median(est.power_db)
-        assert np.max(np.abs(est.power_db - median)) < 1.0
-
-    def test_parseval_within_two_percent(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal(2**14) + 1j * rng.standard_normal(2**14)
-        frame = frame_of(x, rate=4.0)
-        est = metrics.psd(frame, metrics.WelchMethod(segment=1024))
-        integral = np.sum(est.power_linear()) * (est.freqs[1] - est.freqs[0])
-        average = np.mean(np.abs(x) ** 2)
-        assert abs(integral - average) / average < 0.02
-
-    def test_shift_invariance(self):
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal(8192) + 1j * rng.standard_normal(8192)
-        a = metrics.psd(frame_of(x), metrics.WelchMethod(segment=512))
-        b = metrics.psd(frame_of(np.roll(x, 1000)),
-                        metrics.WelchMethod(segment=512))
-        # agreement within estimator variance, checked in dB
-        assert np.mean(np.abs(a.power_db - b.power_db)) < 1.0
-
-    def test_periodogram_method(self):
-        x = np.exp(2j * np.pi * 0.25 * np.arange(1024))
-        est = metrics.psd(frame_of(x), metrics.PeriodogramMethod())
-        assert est.resolution_bw == 1.0 / 1024
-
-    def test_frame_too_short(self):
-        with pytest.raises(FrameTooShort):
-            metrics.psd(frame_of(np.ones(64)), metrics.WelchMethod(segment=256))
-
-    def test_welch_is_the_mean_of_windowed_segment_periodograms(self):
-        """Segments of 4 samples, 2 apart, under the periodic Hann window;
-        the symmetric np.hanning(4) gives other numbers."""
-        fs = 2.0
-        x = np.random.default_rng(15).standard_normal(16).view(complex)
-        w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(4) / 4)
-        segments = [x[0:4], x[2:6], x[4:8]]
-        density = np.mean(
-            [np.abs(np.fft.fft(seg * w)) ** 2 for seg in segments], axis=0
-        ) / (fs * np.sum(w**2))
-        est = metrics.psd(frame_of(x, rate=fs),
-                          metrics.WelchMethod(segment=4, overlap=0.5))
-        assert_allclose(est.freqs, np.fft.fftshift(np.fft.fftfreq(4, 1.0 / fs)))
-        assert_allclose(est.power_linear(), np.fft.fftshift(density), rtol=1e-12)
-        assert est.resolution_bw == fs / 4
-
-    def test_periodogram_of_a_bin_centred_tone(self):
-        """A unit tone on bin 5 of 64 puts all of N/fs on that bin."""
-        n, fs = 64, 4.0
-        x = np.exp(2j * np.pi * 5 * np.arange(n) / n)
-        est = metrics.psd(frame_of(x, rate=fs), metrics.PeriodogramMethod())
-        peak = int(np.argmax(est.power_db))
-        assert est.freqs[peak] == 5 * fs / n
-        assert est.power_linear()[peak] == pytest.approx(n / fs, rel=1e-12)
-        assert np.sum(est.power_linear()) == pytest.approx(n / fs, rel=1e-12)
-
-    def test_bad_welch_parameters(self):
-        frame = frame_of(np.ones(64))
-        for method in (metrics.WelchMethod(segment=1),
-                       metrics.WelchMethod(segment=16, overlap=1.0)):
-            with pytest.raises(ConfigError):
-                metrics.psd(frame, method)
-
     def test_runs_without_scipy(self):
         """wavemod needs numpy only: with scipy blocked from import, the CLI
-        module loads and both PSD methods run."""
+        module loads and se-table, the study that estimates PSDs, runs."""
         src = str(Path(wavemod.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -486,23 +391,31 @@ class TestPsd:
         )
         probe = (
             "import sys; sys.modules['scipy'] = None\n"
-            "import numpy as np, wavemod.cli\n"
-            "from wavemod import metrics, modem\n"
-            "frame = modem.BasebandFrame(np.ones(256), 1.0)\n"
-            "for method in (metrics.WelchMethod(segment=64), "
-            "metrics.PeriodogramMethod()):\n"
-            "    print(len(metrics.psd(frame, method).freqs))\n"
+            "import wavemod.cli\n"
+            "sys.exit(wavemod.cli.main(['se-table']))\n"
         )
         out = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["64", "256"]
+        assert ("system,bit_rate,bandwidth_99,spectral_efficiency,ordering_rank"
+                in out.stdout.splitlines())
+
+
+def periodogram(x):
+    """Boxcar periodogram |fft(x)|**2 / n of x, sampled at rate 1, on the
+    ascending fftfreq grid."""
+    n = len(x)
+    density = np.fft.fftshift(np.abs(np.fft.fft(x)) ** 2 / n)
+    return metrics.PsdEstimate(
+        freqs=np.fft.fftshift(np.fft.fftfreq(n)),
+        power_db=10.0 * np.log10(np.maximum(density, 1e-300)),
+        resolution_bw=1.0 / n,
+    )
 
 
 class TestOccupiedBandwidth:
     def test_single_tone_one_bin(self):
         n = 4096
-        frame = frame_of(np.exp(2j * np.pi * 0.25 * np.arange(n)))
-        est = metrics.psd(frame, metrics.PeriodogramMethod())
+        est = periodogram(np.exp(2j * np.pi * 0.25 * np.arange(n)))
         assert metrics.occupied_bandwidth(est) == pytest.approx(
             est.resolution_bw, rel=1e-9
         )
@@ -517,7 +430,7 @@ class TestOccupiedBandwidth:
         idx = (np.arange(-width // 2, width // 2)) % n
         spectrum[idx] = np.exp(2j * np.pi * rng.random(width))
         x = np.fft.ifft(spectrum)
-        est = metrics.psd(frame_of(x, rate=1.0), metrics.PeriodogramMethod())
+        est = periodogram(x)
         b_true = 0.25
         measured = metrics.occupied_bandwidth(est, 0.99)
         assert 0.99 * b_true <= measured <= b_true + 2.0 * est.resolution_bw
@@ -544,24 +457,3 @@ class TestSpectralEfficiency:
             metrics.spectral_efficiency(1.0, 0.0)
         with pytest.raises(ZeroBandwidth):
             metrics.spectral_efficiency(1.0, np.nan)
-
-
-class TestCsvExports:
-    def test_ccdf_csv(self):
-        curve = metrics.CcdfCurve(
-            thresholds_db=np.array([1.0, 2.0]),
-            probabilities=np.array([0.5, 0.25]),
-            n_trials=4,
-        )
-        text = metrics.ccdf_to_csv(curve)
-        assert text.splitlines()[0] == "threshold_db,prob"
-        assert text.splitlines()[1] == "1,0.5"
-
-    def test_psd_csv(self):
-        est = metrics.PsdEstimate(
-            freqs=np.array([-0.25, 0.25]), power_db=np.array([-3.0, -6.0]),
-            resolution_bw=0.5,
-        )
-        lines = metrics.psd_to_csv(est).splitlines()
-        assert lines[0] == "freq_hz,power_db"
-        assert lines[1] == "-0.25,-3"

@@ -1,0 +1,54 @@
+"""The package's public surface and the README's library tour."""
+
+import re
+import types
+from pathlib import Path
+
+import wavemod
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Every name `import wavemod` makes public.  A name added to or dropped from
+# the package's exports must be added to or dropped from this list too.
+PUBLIC = [
+    "AwgnSpec", "MultipathSpec", "apply_multipath", "awgn", "equalize",
+    "ExperimentConfig", "ResultTable", "load_config",
+    "ConfigError", "NumericalError", "WavemodError",
+    "SubbandSet", "WaveletFilterPair", "analysis_step", "dwt", "idwt", "iwpt",
+    "list_families", "make_filter", "synthesis_step", "verify_pr", "wpt",
+    "CcdfCurve", "PsdEstimate", "evm", "occupied_bandwidth", "papr_ccdf",
+    "papr_db", "spectral_efficiency",
+    "BasebandFrame", "ConstellationSpec", "OfdmConfig", "constellation",
+    "demap_symbols", "map_bits", "matched_filter_streams", "ofdm_demodulate",
+    "ofdm_modulate", "pulse_shape_dyadic", "rrc_bin_weights", "wsk_demodulate",
+    "wsk_modulate",
+    "ModifiedGaussianParams", "SampledWaveform", "ScalingFilter",
+    "SpectrumSamples", "derive_scaling_filter", "dyadic_pulse_set",
+    "lattice_orthonormality_residual", "mod_gauss_amplitude",
+    "mod_gauss_spectrum", "mod_gauss_time", "mother_wavelet",
+    "raised_cosine_pulse", "root_raised_cosine_pulse", "scaling_function",
+    "sidelobe_level",
+]
+
+
+def test_all_is_the_pinned_public_surface():
+    """__all__, the non-module public names bound on the package, and what
+    a star import binds are all exactly PUBLIC."""
+    assert wavemod.__all__ == PUBLIC
+    bound = {name for name, value in vars(wavemod).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert bound == set(PUBLIC)
+    namespace = {}
+    exec("from wavemod import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(PUBLIC)
+
+
+def test_readme_library_tour_runs(capsys):
+    """The README's one python block runs as printed, and its print line
+    prints one positive PAPR in dB."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", _README.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(_README), "exec"), {})
+    assert float(capsys.readouterr().out) > 0.0
