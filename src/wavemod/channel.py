@@ -25,6 +25,7 @@ from .errors import (
     EmptyFrame,
     LengthMismatch,
     SingularChannel,
+    numerical_errors,
 )
 from . import metrics, modem
 from .modem import (
@@ -52,26 +53,6 @@ def _check_db(value_db: float, what: str) -> None:
         )
 
 
-def _check_seed(seed) -> None:
-    """Raise ConfigError unless seed is a metrics.TrialSeeds, a non-negative
-    integer or an array-like of them (an int too wide for int64 is an object
-    element)."""
-    if isinstance(seed, metrics.TrialSeeds):
-        return
-    try:
-        seeds = np.asarray(seed)
-    except ValueError:  # ragged rows
-        ok = False
-    else:
-        if seeds.dtype == object:
-            ok = all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
-                     for v in seeds.flat)
-        else:
-            ok = seeds.dtype.kind in "iu" and seeds.min(initial=0) >= 0
-    if not ok:
-        raise ConfigError(f"noise seeds must be non-negative integers, got {seed!r:.60}")
-
-
 @dataclass(frozen=True)
 class AwgnSpec:
     """Noise level with an explicit SNR interpretation.
@@ -88,16 +69,12 @@ class AwgnSpec:
 
     seed is an int or a 1-D integer sequence (a seed sequence such as
     [master, trial]); one generator then draws the noise of the whole
-    frame or block, real parts first.  For a block of B frames, seed may
-    instead be a 2-D (B, k) integer array-like: row b draws its noise from
-    its own generator seeded seed[b], exactly as awgn on that frame alone
-    with seed=seed[b].  A 2-D array is never a valid seed sequence, so the
-    two forms cannot be confused.  Every seed is a non-negative integer, or
-    ConfigError is raised.  Per-row seeds may also come already hashed, as a
-    :class:`metrics.TrialSeeds` whose grid has the block's rows: row b then
-    draws exactly as with seed=[*prefix, *index_b, *suffix], but from one
-    reused PCG64 set to its four seed words, with no SeedSequence or
-    generator built per row.
+    frame or block, real parts first, exactly as default_rng(seed).  For
+    per-row seeds, seed is a :class:`metrics.TrialSeeds` whose grid has
+    the block's rows: row b then draws exactly as awgn on that frame alone
+    with seed=[*prefix, *index_b, *suffix], from one reused PCG64 set to
+    its four seed words.  Every seed is an integer >= 0 and not a bool, or
+    ConfigError is raised (2-D seed arrays included).
     """
 
     snr_db: float
@@ -114,7 +91,7 @@ class AwgnSpec:
             _check_db(self.snr_db, "snr_db")
         if not self.samples_per_bit > 0:
             raise ConfigError("samples_per_bit must be positive")
-        _check_seed(self.seed)
+        _trial_seeds(self.seed)  # ConfigError for a bad seed
 
     def noise_variance(self, mean_power):
         """Noise variance per sample for a measured mean power (float, or
@@ -127,38 +104,40 @@ class AwgnSpec:
         return mean_power / ratio
 
 
+def _trial_seeds(seed) -> metrics.TrialSeeds:
+    """AwgnSpec.seed as a TrialSeeds: an int or 1-D seed sequence is a 0-d
+    grid, its one seed."""
+    if isinstance(seed, metrics.TrialSeeds):
+        return seed
+    return metrics.TrialSeeds.grid(seed if np.iterable(seed) else [seed], ())
+
+
 def _draw_noise(seed, shape, scale) -> np.ndarray:
     """scale times unit-variance-per-rail complex Gaussian draws, one scale
-    per row; see AwgnSpec.seed.  Each generator fills its rows' real rails,
-    then their imaginary rails, exactly as standard_normal(rows) +
-    1j * standard_normal(rows) would, through one (2, ...) real buffer
-    whose scaled rails are written into the output's parts.  Hashed per-row
-    seeds set one reused PCG64, inside one Generator, to each row's state
-    in turn."""
+    per row; see AwgnSpec.seed.  One reused PCG64, inside one Generator, is
+    set to each seed's state in turn: a 0-d grid's one state fills the
+    whole block, a grid of the block's rows one state per row.  Each state
+    fills its rows' real rails, then their imaginary rails, exactly as
+    standard_normal(rows) + 1j * standard_normal(rows) would, through one
+    (2, ...) real buffer whose scaled rails are written into the output's
+    parts."""
+    seeds = _trial_seeds(seed)
     scale = np.asarray(scale)
     noise = np.empty(shape, dtype=complex)
-    hashed = isinstance(seed, metrics.TrialSeeds)
-    if not hashed and np.ndim(seed) < 2:
-        rows, scale, draws = noise[None], scale[None], [(0, np.random.default_rng(seed))]
-    else:
-        seeds = seed.words if hashed else np.asarray(seed)
-        if seeds.shape[:-1] != shape[:-1]:
-            raise LengthMismatch(
-                f"per-row seeds {seeds.shape} do not match frame rows {shape[:-1]}"
-            )
+    grid = seeds.words.shape[:-1]
+    if grid == ():
+        rows, scale = noise[None], scale[None]
+    elif grid == shape[:-1]:
         rows, scale = noise.reshape(-1, shape[-1]), scale.reshape(-1)
-        if hashed:
-            bitgen = np.random.PCG64(0)
-            rng = np.random.Generator(bitgen)
-            draws = ((row, rng) for row in seed.reseed(bitgen))
-        else:
-            draws = ((row, np.random.default_rng(row_seed))
-                     for row, row_seed in enumerate(seeds.reshape(-1, seeds.shape[-1])))
-    # real and imaginary parts as views (2, draws, ...); each draw's scaled
+    else:
+        raise LengthMismatch(f"per-row seeds {grid} do not match frame rows {shape[:-1]}")
+    # real and imaginary parts as views (2, rows, ...); each state's scaled
     # rails are written straight into them
     parts = np.moveaxis(rows.view(float).reshape(rows.shape + (2,)), -1, 0)
     rails = np.empty(parts[:, 0].shape)
-    for row, rng in draws:
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for row in seeds.reseed(bitgen):
         rng.standard_normal(out=rails[0])
         rng.standard_normal(out=rails[1])
         np.multiply(rails, scale[row][..., None], out=parts[:, row])
@@ -169,16 +148,18 @@ def awgn(frame: BasebandFrame, spec: AwgnSpec) -> BasebandFrame:
     """Add circularly symmetric complex Gaussian noise, seeded.
 
     The noise variance of each frame (row) follows that row's own mean
-    power; see :class:`AwgnSpec` for the per-row seed form.
+    power; see :class:`AwgnSpec` for the per-row seed form.  A power or
+    noise sum that overflows raises NumericalError.
     """
     samples = np.asarray(frame.samples, dtype=complex)
     if samples.size == 0:
         raise EmptyFrame("cannot add noise to an empty frame")
-    variance = spec.noise_variance(np.mean(np.abs(samples) ** 2, axis=-1))
-    if not np.any(variance):
-        return BasebandFrame(samples.copy(), frame.sample_rate)
-    noisy = _draw_noise(spec.seed, samples.shape, np.sqrt(variance / 2.0))
-    noisy += samples
+    with numerical_errors("awgn"):
+        variance = spec.noise_variance(np.mean(np.abs(samples) ** 2, axis=-1))
+        if not np.any(variance):
+            return BasebandFrame(samples.copy(), frame.sample_rate)
+        noisy = _draw_noise(spec.seed, samples.shape, np.sqrt(variance / 2.0))
+        noisy += samples
     return BasebandFrame(noisy, frame.sample_rate)
 
 
@@ -226,14 +207,16 @@ class MultipathSpec:
         """Default static fading profile: one tap per sample, exponentially
         decaying power (3 dB per tap), seeded uniform phases, unit power.
         The first and last taps' powers must differ by a ratio a float
-        holds (about 3000 dB)."""
-        if n_taps < 1:
-            raise ConfigError("channel needs at least one tap")
+        holds (about 3000 dB).  The phases are default_rng(seed).uniform
+        draws, through the seed check and hash of metrics.TrialSeeds."""
+        if not isinstance(n_taps, numbers.Integral) or isinstance(n_taps, bool) or n_taps < 1:
+            raise ConfigError(f"channel needs a whole number of taps >= 1, got {n_taps!r:.60}")
         _check_db(abs(decay_db_per_tap) * (n_taps - 1), "channel power span")
-        rng = np.random.default_rng(seed)
+        bitgen = np.random.PCG64(0)
+        for _ in metrics.TrialSeeds.grid([seed], ()).reseed(bitgen):  # one trial
+            phases = np.random.Generator(bitgen).uniform(0.0, 2.0 * np.pi, n_taps)
         delays = np.arange(n_taps)
         amplitude = 10.0 ** (-decay_db_per_tap * delays / 20.0)
-        phases = rng.uniform(0.0, 2.0 * np.pi, n_taps)
         return cls(tap_delays=delays, tap_gains=amplitude * np.exp(1j * phases),
                    normalize=True)
 

@@ -22,8 +22,9 @@ so each cutoff's round-off-level EVM depends neither on the other cutoffs
 nor on the other frames, and metrics.evm scores all the rows in one call
 with the bits of a call per row.  The EVM totals are summed frame by frame
 in trial order.  Trial bits come from metrics.TrialBits, the raw PCG64
-output of the same seeds, and ber-fading's noise rows from the same seed
-hash (metrics.TrialSeeds).
+output of the same seeds; papr-ccdf and evm-sweep take its symbols, and
+only ber-fading, which counts bit errors, takes the bits.  Its noise rows
+come from the same seed hash (metrics.TrialSeeds).
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def run_evm_bandwidth_sweep(cfg: ExperimentConfig) -> ResultTable:
     # and the evm-rx benchmark ran 1160 against 969 frames/s (10 of 10
     # pairs) for +0.5 MB (+1.3%) peak RSS
     for trials in metrics.trial_blocks(n_frames, len(cutoffs) * ft.frame_length):
-        symbols = modem.map_bits(payloads(trials), spec)
+        symbols = payloads.symbols(spec, trials)
         for column, chain in enumerate((ft, wt)):
             frame = modem.ofdm_modulate(symbols, chain)
             frame = modem.BasebandFrame(_brickwall(frame.samples, cutoffs),

@@ -22,6 +22,7 @@ from .errors import (
     BitCountMismatch,
     ConfigError,
     LengthMismatch,
+    NumericalError,
     ZeroBandwidth,
     ZeroEnergy,
     ZeroReferenceSymbol,
@@ -143,8 +144,8 @@ _MASK128 = (1 << 128) - 1
 
 
 def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """PCG64 seed words of SeedSequence(row) for every row of (..., k)
-    uint32 entropy: (..., 4) uint64, equal to generate_state(4, uint64).
+    """PCG64 seed words of SeedSequence(row) for every row of (rows, k)
+    uint32 entropy: (rows, 4) uint64, equal to generate_state(4, uint64).
     The hash constants advance the same way for every row, so each step is
     one uint32 ufunc over all rows."""
     hash_const = _SS_INIT_A
@@ -180,11 +181,13 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return state.view(np.uint64)
 
 
-def _entropy_words(value: int) -> list[int]:
-    """SeedSequence's split of a nonnegative int into little-endian uint32
-    words (0 is one word)."""
-    if value < 0:
-        raise ValueError(f"expected non-negative integer, got {value}")
+def _entropy_words(seed) -> list[int]:
+    """SeedSequence's split of a seed into little-endian uint32 words (0 is
+    one word).  A seed is an integer >= 0 and not a bool; anything else
+    raises ConfigError.  Every seeded draw in the package passes here."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seeds must be integers >= 0, got {seed!r:.60}")
+    value = int(seed)
     words = [value & _MASK32]
     while value >> 32:
         value >>= 32
@@ -201,8 +204,9 @@ class TrialSeeds:
     does) into ``words``, a read-only (*grid, 4) uint64 array;
     ``seeds[index]`` is the TrialSeeds of a sub-grid.  :meth:`reseed`
     sets one reused PCG64 to each trial's state in turn, so no trial
-    builds its own generator.  A negative int raises ValueError, as in
-    default_rng.
+    builds its own generator.  A 0-d grid (shape ()) is the one seed
+    [*prefix, *suffix].  Every entry of prefix and suffix is an integer
+    >= 0 and not a bool, or ConfigError is raised.
     """
 
     def __init__(self, words: np.ndarray):
@@ -212,7 +216,7 @@ class TrialSeeds:
     def grid(cls, prefix, shape, suffix=()) -> "TrialSeeds":
         """Seeds of every trial of a grid of the given shape."""
         def split(values):
-            return [word for value in values for word in _entropy_words(int(value))]
+            return [word for value in values for word in _entropy_words(value)]
 
         prefix, suffix, shape = split(prefix), split(suffix), tuple(shape)
         entropy = np.concatenate([
@@ -220,7 +224,10 @@ class TrialSeeds:
             np.moveaxis(np.indices(shape, dtype=np.uint32), 0, -1),
             np.broadcast_to(np.array(suffix, dtype=np.uint32), shape + (len(suffix),)),
         ], axis=-1)
-        words = _seed_words(entropy)
+        # hashed as (trials, k) rows, also for a 0-d grid, so every step
+        # is an array ufunc and the uint32 wraparound raises no warning
+        words = _seed_words(entropy.reshape(math.prod(shape), entropy.shape[-1]))
+        words = words.reshape(shape + (4,))
         words.flags.writeable = False
         return cls(words)
 
@@ -252,7 +259,8 @@ class TrialBits:
     output of one reused PCG64 set from its seed words: integers(0, 2) is
     numpy's Lemire draw, which returns bit 31 and then bit 63 of each
     64-bit output.  Only the seed words are kept, never the bits of all
-    trials.  A negative prefix raises ValueError, as in default_rng.
+    trials.  A prefix entry that is not an integer >= 0 (a bool included)
+    raises ConfigError.
 
     :meth:`symbols` draws the same payloads as constellation symbols,
     equal to map_bits(bits, spec): each raw word carries the two bits
@@ -353,13 +361,11 @@ def papr_ccdf(cfg: OfdmConfig, spec: ConstellationSpec, n_symbols: int,
     to [-1, 10 log10(frame_length) + 1] dB, beyond which no PAPR lies.  A
     row whose ratio lies within _PAPR_GUARD_DB of a threshold, or is not
     finite, is recomputed alone on the exact path, which gives a block
-    row's bytes.  Thresholds that are not strictly ascending numbers are
-    rejected before the first trial.
+    row's bytes.  Thresholds that are not strictly ascending numbers, and
+    a seed that is not an integer >= 0, are rejected before the first trial.
     """
-    if not isinstance(n_symbols, numbers.Integral) or n_symbols < 1:
+    if not isinstance(n_symbols, numbers.Integral) or isinstance(n_symbols, bool) or n_symbols < 1:
         raise ConfigError(f"need a whole number of symbols >= 1, got {n_symbols!r}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     thresholds_db = _numbers(thresholds_db, "thresholds", float)
     if (thresholds_db.ndim != 1 or np.any(np.isnan(thresholds_db))
             or not np.all(np.diff(thresholds_db) > 0)):
@@ -390,21 +396,25 @@ def evm(received, reference):
     One frame (n,) gives a float.  A block (..., n) gives an array with one
     value per row, each the bits of a call on that row alone (numpy's
     pairwise row sum); its reference is one (n,) frame for every row, or a
-    block of the received shape.
+    block of the received shape.  Symbols that make a value overflow, or
+    not finite, raise NumericalError.
     """
-    received = np.asarray(received, dtype=complex)
-    reference = np.asarray(reference, dtype=complex)
+    received = _numbers(received, "received symbols", complex)
+    reference = _numbers(reference, "reference symbols", complex)
     if reference.shape not in (received.shape, received.shape[-1:]):
         raise LengthMismatch("received/reference symbol counts differ")
     if received.size == 0:
         raise ConfigError("EVM needs at least one symbol")
-    ref_power = np.abs(reference) ** 2
-    if np.any(ref_power == 0.0):
-        raise ZeroReferenceSymbol("reference symbols must be nonzero")
-    ratio = np.abs(received - reference) ** 2 / ref_power
-    if received.ndim <= 1:
-        return float(np.mean(ratio))
-    return np.mean(ratio, axis=-1)
+    with numerical_errors("evm"):
+        ref_power = np.abs(reference) ** 2
+        if np.any(ref_power == 0.0):
+            raise ZeroReferenceSymbol("reference symbols must be nonzero")
+        ratio = np.abs(received - reference) ** 2 / ref_power
+        value = np.mean(ratio, axis=-1 if received.ndim > 1 else None)
+    # a NaN symbol raises no floating-point error, so the values are checked
+    if not np.all(np.isfinite(value)):
+        raise NumericalError("evm: a NaN or infinite symbol")
+    return float(value) if received.ndim <= 1 else value
 
 
 @dataclass
@@ -449,7 +459,11 @@ def occupied_bandwidth(estimate: PsdEstimate, containment: float = 0.99) -> floa
 
 
 def spectral_efficiency(bit_rate: float, bandwidth: float) -> float:
-    """Bit rate divided by occupied bandwidth, in b/s/Hz."""
+    """Bit rate divided by occupied bandwidth, in b/s/Hz; a result that is
+    not finite raises NumericalError."""
     if not bandwidth > 0.0:
         raise ZeroBandwidth(f"bandwidth must be positive, got {bandwidth}")
-    return float(bit_rate) / float(bandwidth)
+    value = float(bit_rate) / float(bandwidth)
+    if not math.isfinite(value):
+        raise NumericalError(f"spectral efficiency of {bit_rate!r} b/s is {value}")
+    return value

@@ -15,6 +15,7 @@ from wavemod.errors import (
     DelayExceedsFrame,
     EmptyFrame,
     LengthMismatch,
+    NumericalError,
     SingularChannel,
 )
 
@@ -70,22 +71,27 @@ class TestAwgn:
         not a share of the block-wide mean."""
         x = np.exp(2j * np.pi * np.arange(4096) / 7.0)
         block = frame_of(np.stack([x, np.sqrt(10.0) * x]))
-        # both rows draw the same unit noise, so only the scaling differs
-        out = ch.awgn(block, ch.AwgnSpec(snr_db=5.0, seed=[[21], [21]]))
+        # both rows draw the same unit noise, seed [21, 0], so only the
+        # scaling differs
+        seeds = metrics.TrialSeeds.grid([21], (1,))[[0, 0]]
+        out = ch.awgn(block, ch.AwgnSpec(snr_db=5.0, seed=seeds))
         noise = out.samples - block.samples
         assert_allclose(np.abs(noise[1]) ** 2, 10.0 * np.abs(noise[0]) ** 2,
                         rtol=1e-9)
         assert abs(np.mean(np.abs(noise[0]) ** 2) - 10 ** -0.5) < 0.02
+        rng = np.random.default_rng([21, 0])
+        unit = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+        assert_allclose(noise[0], np.sqrt(10 ** -0.5 / 2) * unit, rtol=1e-12)
 
     def test_per_row_seeds_must_match_the_rows(self):
         block = frame_of(np.ones((3, 64)))
         with pytest.raises(LengthMismatch):
-            ch.awgn(block, ch.AwgnSpec(snr_db=5.0, seed=[[1], [2]]))
+            ch.awgn(block, ch.AwgnSpec(snr_db=5.0, seed=metrics.TrialSeeds.grid([1], (2,))))
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, [7, -1], [[1, 2], [3, -4]],
                                       [[1], [2, 3]], [2**70, -1]])
     def test_negative_or_non_integer_seed_rejected(self, seed):
-        """Every seed form (int, 1-D sequence, 2-D per-row array) fails at
+        """Ints, 1-D sequences and 2-D arrays (never a valid seed) fail at
         construction with a ConfigError, not in numpy's generator."""
         with pytest.raises(ConfigError):
             ch.AwgnSpec(snr_db=10.0, seed=seed)
@@ -93,6 +99,12 @@ class TestAwgn:
     def test_empty_frame_rejected(self):
         with pytest.raises(EmptyFrame):
             ch.awgn(frame_of([]), ch.AwgnSpec(snr_db=10.0))
+
+    @pytest.mark.parametrize("samples, snr_db", [([1.7e308], 10.0), ([1e150], -100.0)])
+    def test_overflowing_power_or_noise_raises(self, samples, snr_db):
+        """A finite frame whose power, or noise, leaves the float range."""
+        with pytest.raises(NumericalError):
+            ch.awgn(frame_of(samples), ch.AwgnSpec(snr_db=snr_db))
 
     def test_bad_reference(self):
         with pytest.raises(ConfigError):
@@ -122,10 +134,10 @@ class TestAwgn:
         ([7, 2**40], [2**32 + 5]),
     ])
     def test_row_seeds_draw_each_row_alone(self, prefix, suffix):
-        """Per-row seeds, as entropy rows or hashed once as a TrialSeeds
-        grid: row b has the bits of its own generator's standard_normal(n)
-        + 1j * standard_normal(n), times its scale.  Entries of 2**32 and
-        more span several uint32 entropy words."""
+        """Per-row seeds, hashed once as a TrialSeeds grid: row b has the
+        bits of its own generator's standard_normal(n) + 1j *
+        standard_normal(n), times its scale.  Entries of 2**32 and more
+        span several uint32 entropy words."""
         seeds = [prefix + [i, j] + suffix for i in range(2) for j in range(2)]
         hashed = metrics.TrialSeeds.grid(prefix, (2, 2), suffix)
         assert hashed.words.shape == (2, 2, 4) and hashed.words.dtype == np.uint64
@@ -133,24 +145,29 @@ class TestAwgn:
             assert_array_equal(hashed.words.reshape(4, 4)[row],
                                np.random.SeedSequence(seed).generate_state(4, np.uint64))
         scale = np.array([1.0, 0.25, 3.0, 1e-3])
-        for per_row in (np.reshape(np.array(seeds, dtype=object), (2, 2, -1)), hashed):
-            got = ch._draw_noise(per_row, (2, 2, 32), scale.reshape(2, 2))
-            for row, seed in enumerate(seeds):
-                rng = np.random.default_rng(seed)
-                want = scale[row] * (rng.standard_normal(32)
-                                     + 1j * rng.standard_normal(32))
-                assert_array_equal(got.reshape(4, 32)[row], want)
+        got = ch._draw_noise(hashed, (2, 2, 32), scale.reshape(2, 2))
+        for row, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            want = scale[row] * (rng.standard_normal(32)
+                                 + 1j * rng.standard_normal(32))
+            assert_array_equal(got.reshape(4, 32)[row], want)
 
     def test_hashed_row_seeds_through_awgn(self):
-        """A TrialSeeds sub-grid is a valid AwgnSpec seed and gives the
-        bytes of the same rows given as entropy rows; its grid must match
-        the block's rows."""
+        """A TrialSeeds sub-grid is a valid AwgnSpec seed: each row gets the
+        bytes of awgn on that frame alone with its own seed sequence, and
+        of its own generator; the grid must match the block's rows."""
         block = frame_of(np.ones((3, 64)))
         grid = metrics.TrialSeeds.grid([5, 2], (4, 6), [1])
         spec = ch.AwgnSpec(snr_db=3.0, seed=grid[1, 2:5])
-        rows = [[5, 2, 1, trial, 1] for trial in range(2, 5)]
-        want = ch.awgn(block, dataclasses.replace(spec, seed=rows)).samples
-        assert ch.awgn(block, spec).samples.tobytes() == want.tobytes()
+        got = ch.awgn(block, spec).samples
+        scale = np.sqrt(spec.noise_variance(1.0) / 2.0)
+        for row, trial in enumerate(range(2, 5)):
+            seed = [5, 2, 1, trial, 1]
+            alone = ch.awgn(frame_of(np.ones(64)),
+                            dataclasses.replace(spec, seed=seed)).samples
+            rng = np.random.default_rng(seed)
+            want = 1.0 + scale * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+            assert got[row].tobytes() == alone.tobytes() == want.tobytes()
         with pytest.raises(LengthMismatch):
             ch.awgn(block, dataclasses.replace(spec, seed=grid[1, :2]))
 
@@ -231,6 +248,21 @@ class TestMultipath:
         assert abs(np.sum(power) - 1.0) < 1e-12
         ratios = power[1:] / power[:-1]
         assert_allclose(ratios, 10.0 ** (-0.3), atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 424242, 2**32 + 5])
+    def test_ten_path_phases_are_default_rng_draws(self, seed):
+        """The taps are built from default_rng(seed).uniform phases; a seed
+        of 2**32 or more spans two entropy words."""
+        phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 10)
+        amplitude = 10.0 ** (-3.0 * np.arange(10) / 20.0)
+        want = ch.MultipathSpec(np.arange(10), amplitude * np.exp(1j * phases))
+        got = ch.MultipathSpec.ten_path(seed=seed)
+        assert got.tap_gains.tobytes() == want.tap_gains.tobytes()
+
+    @pytest.mark.parametrize("n_taps", [0, -1, 1.5, True, "10", None])
+    def test_ten_path_needs_a_whole_tap_count(self, n_taps):
+        with pytest.raises(ConfigError):
+            ch.MultipathSpec.ten_path(n_taps=n_taps)
 
     @pytest.mark.parametrize("decay_db, n_taps", [
         (float("nan"), 10), (float("inf"), 1), (1e308, 10), (-400.0, 10),
@@ -363,7 +395,7 @@ def test_block_equals_row_by_row_bit_for_bit(cfg):
     gives exactly the bytes of B separate one-frame calls."""
     qpsk = modem.constellation("qpsk")
     profile = ch.MultipathSpec.ten_path()
-    seeds = [[5, trial, 1] for trial in range(3)]
+    seeds = metrics.TrialSeeds.grid([5], (3,), [1])
     bits = np.random.default_rng(5).integers(0, 2, (3, 2 * cfg.n_subcarriers))
 
     def link(bits, seed):
@@ -378,7 +410,7 @@ def test_block_equals_row_by_row_bit_for_bit(cfg):
 
     block = link(bits, seeds)
     for row in range(3):
-        single = link(bits[row], seeds[row])
+        single = link(bits[row], [5, row, 1])  # default_rng([5, row, 1])
         for got, want in zip(block, single):
             assert_array_equal(got[row], want)
     assert block[-1].shape == bits.shape
@@ -411,7 +443,7 @@ def test_chain_stages_leave_their_inputs_unchanged(cfg):
     sent = unchanged(modem.ofdm_modulate, frozen(symbols), cfg).samples
     unchanged(framed(modem.ofdm_demodulate), frozen(sent), cfg)
     faded = unchanged(framed(ch.apply_multipath), frozen(sent), profile).samples
-    spec = ch.AwgnSpec(snr_db=6.0, seed=[[17, row] for row in range(3)])
+    spec = ch.AwgnSpec(snr_db=6.0, seed=metrics.TrialSeeds.grid([17], (3,)))
     noisy = unchanged(framed(ch.awgn), frozen(faded), spec).samples
     unchanged(framed(ch.equalize), frozen(noisy), profile, cfg)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wavemod import filterbank, metrics, modem
+from wavemod import channel, filterbank, metrics, modem
 from wavemod.errors import WavemodError
 
 N = 8
@@ -37,8 +37,15 @@ ARRAYS = st.one_of(
     st.text(max_size=3),
     st.lists(st.lists(st.integers(0, 1), max_size=3), min_size=2, max_size=3),
 )
-COUNTS = st.one_of(st.integers(-3, 3), st.floats(allow_nan=True, allow_infinity=True))
-SEEDS = st.one_of(st.integers(-3, 2**70), st.floats(allow_nan=True, allow_infinity=True))
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+COUNTS = st.one_of(st.integers(-3, 3), FLOATS, st.booleans())
+# negative, wider than 64 bits, floats, bools, nested lists
+SEEDS = st.one_of(st.integers(-3, 2**70), FLOATS, st.booleans(),
+                  st.lists(st.one_of(st.integers(-2, 2**70), FLOATS, st.booleans(),
+                                     st.lists(st.integers(0, 3), max_size=2)),
+                           max_size=3))
+# per-row seeds of 0 to 3 rows, which must match the frame's rows
+ROW_SEEDS = st.integers(0, 3).map(lambda rows: metrics.TrialSeeds.grid([1], (rows,)))
 THRESHOLDS = st.one_of(
     st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=4),
     hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=3)),
@@ -85,3 +92,39 @@ def test_ofdm_modulate(symbols, cfg):
        thresholds=THRESHOLDS, seed=SEEDS)
 def test_papr_ccdf(cfg, spec, n_symbols, thresholds, seed):
     returns_finite_or_raises(metrics.papr_ccdf, cfg, spec, n_symbols, thresholds, seed)
+
+
+@FUZZ
+@given(samples=ARRAYS, snr_db=st.one_of(st.floats(-60, 60), FLOATS),
+       seed=st.one_of(st.integers(0, 2**70), SEEDS, ROW_SEEDS),
+       reference=st.sampled_from([channel.ES_PER_SAMPLE, channel.EB_PER_BIT, "snr"]),
+       samples_per_bit=st.one_of(st.floats(0.1, 10), FLOATS))
+def test_awgn(samples, snr_db, seed, reference, samples_per_bit):
+    returns_finite_or_raises(lambda: channel.awgn(
+        modem.BasebandFrame(samples, 1.0),
+        channel.AwgnSpec(snr_db, seed, reference, samples_per_bit),
+    ))
+
+
+@FUZZ
+@given(seed=SEEDS, n_taps=st.one_of(st.integers(-2, 64), FLOATS, st.booleans()),
+       decay_db=FLOATS)
+def test_ten_path(seed, n_taps, decay_db):
+    try:
+        profile = channel.MultipathSpec.ten_path(seed, n_taps, decay_db)
+    except WavemodError:
+        return
+    assert np.all(np.isfinite(profile.tap_gains))
+
+
+@FUZZ
+@given(received=ARRAYS, reference=ARRAYS)
+def test_evm(received, reference):
+    returns_finite_or_raises(metrics.evm, received, reference)
+
+
+@FUZZ
+@given(bit_rate=st.one_of(FLOATS, st.integers(-2**64, 2**64)),
+       bandwidth=st.one_of(FLOATS, st.integers(-2**64, 2**64)))
+def test_spectral_efficiency(bit_rate, bandwidth):
+    returns_finite_or_raises(metrics.spectral_efficiency, bit_rate, bandwidth)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 
 import wavemod
-from wavemod import experiments, filterbank, metrics, modem
+from wavemod import channel, experiments, filterbank, metrics, modem
 from wavemod.configio import ExperimentConfig, parse_float_list
 from wavemod.errors import (
     BitCountMismatch,
     ConfigError,
     LengthMismatch,
+    NumericalError,
     ZeroBandwidth,
     ZeroEnergy,
     ZeroReferenceSymbol,
@@ -155,7 +157,7 @@ class TestTrialBits:
         assert np.array_equal(payloads(range(1, 5)), _reference_bits(rows, 33))
 
     def test_negative_seed_is_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             metrics.TrialBits([-1], [2], 8)
         with pytest.raises(ConfigError):
             metrics.papr_ccdf(modem.OfdmConfig(64), QPSK, 2, [6.0], seed=-1)
@@ -172,6 +174,39 @@ class TestTrialBits:
         ])
         expected = np.sum(values[:, None] > thresholds, axis=0)
         assert np.array_equal(curve.exceed_counts, expected)
+
+
+class TestTrialSeeds:
+    @pytest.mark.parametrize("prefix, suffix", [([7], []), ([2**40], [3]), ([], [])])
+    def test_zero_d_grid_is_its_one_seed_without_warnings(self, prefix, suffix):
+        """A 0-d grid is hashed as one row of array ufuncs, so the uint32
+        wraparound of the hash raises no overflow warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            words = metrics.TrialSeeds.grid(prefix, (), suffix).words
+        want = np.random.SeedSequence(prefix + suffix).generate_state(4, np.uint64)
+        assert words.shape == (4,) and words.tobytes() == want.tobytes()
+
+    def test_empty_grid(self):
+        assert metrics.TrialSeeds.grid([1], (0, 3)).words.shape == (0, 3, 4)
+
+
+SEEDED_DRAWS = {
+    "AwgnSpec": lambda seed: channel.AwgnSpec(snr_db=10.0, seed=seed),
+    "TrialBits": lambda seed: metrics.TrialBits([seed], [2], 8),
+    "papr_ccdf": lambda seed: metrics.papr_ccdf(modem.OfdmConfig(64), QPSK, 2, [6.0],
+                                                seed=seed),
+    "ten_path": lambda seed: channel.MultipathSpec.ten_path(seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, [[1], [2]]])
+@pytest.mark.parametrize("draw", sorted(SEEDED_DRAWS))
+def test_every_seeded_draw_rejects_a_bad_seed(draw, seed):
+    """One seed check (metrics.TrialSeeds): a seed is an integer >= 0 and
+    not a bool, and a 2-D array is no seed."""
+    with pytest.raises(ConfigError):
+        SEEDED_DRAWS[draw](seed)
 
 
 class TestTrialSymbols:
@@ -373,6 +408,19 @@ class TestEvm:
         with pytest.raises(ZeroReferenceSymbol):
             metrics.evm(np.ones(3), np.array([1.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("received, reference", [
+        ([np.nan], [1.0]), ([1.0], [np.inf]), ([1e200], [1.0]),
+        ([[1.0], [np.nan]], [1.0]),
+    ])
+    def test_non_finite_values_raise(self, received, reference):
+        with pytest.raises(NumericalError):
+            metrics.evm(received, reference)
+
+    @pytest.mark.parametrize("received", ["ab", [[1.0], [1.0, 2.0]]])
+    def test_non_numbers_rejected(self, received):
+        with pytest.raises(ConfigError):
+            metrics.evm(received, [1.0])
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             metrics.evm(np.ones(3), np.ones(4))
@@ -457,3 +505,10 @@ class TestSpectralEfficiency:
             metrics.spectral_efficiency(1.0, 0.0)
         with pytest.raises(ZeroBandwidth):
             metrics.spectral_efficiency(1.0, np.nan)
+
+    @pytest.mark.parametrize("bit_rate, bandwidth", [
+        (np.nan, 1.0), (np.inf, 1.0), (1e308, 1e-308),
+    ])
+    def test_non_finite_ratio_raises(self, bit_rate, bandwidth):
+        with pytest.raises(NumericalError):
+            metrics.spectral_efficiency(bit_rate, bandwidth)
