@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DelayExceedsFrame,
-    EmptyFrame,
-    LengthMismatch,
-    SingularChannel,
-    numerical_errors,
-)
+from .errors import ConfigError, NumericalError, numerical_errors
 from . import metrics, modem
 from .modem import (
     FOURIER,
@@ -72,8 +65,8 @@ class AwgnSpec:
     frame or block, real parts first, exactly as default_rng(seed).  For
     per-row seeds, seed is a :class:`metrics.TrialSeeds` whose grid has
     the block's rows: row b then draws exactly as awgn on that frame alone
-    with seed=[*prefix, *index_b, *suffix], from one reused PCG64 set to
-    its four seed words.  Every seed is an integer >= 0 and not a bool, or
+    with seed=[*prefix, *index_b, *suffix], from a PCG64 seeded from its
+    four seed words.  Every seed is an integer >= 0 and not a bool, or
     ConfigError is raised (2-D seed arrays included).
     """
 
@@ -91,7 +84,10 @@ class AwgnSpec:
             _check_db(self.snr_db, "snr_db")
         if not self.samples_per_bit > 0:
             raise ConfigError("samples_per_bit must be positive")
-        _trial_seeds(self.seed)  # ConfigError for a bad seed
+        if not isinstance(self.seed, metrics.TrialSeeds):
+            # each entry checked as TrialSeeds.grid checks it, without the hash
+            for value in self.seed if np.iterable(self.seed) else [self.seed]:
+                metrics._entropy_words(value)
 
     def noise_variance(self, mean_power):
         """Noise variance per sample for a measured mean power (float, or
@@ -114,13 +110,12 @@ def _trial_seeds(seed) -> metrics.TrialSeeds:
 
 def _draw_noise(seed, shape, scale) -> np.ndarray:
     """scale times unit-variance-per-rail complex Gaussian draws, one scale
-    per row; see AwgnSpec.seed.  One reused PCG64, inside one Generator, is
-    set to each seed's state in turn: a 0-d grid's one state fills the
-    whole block, a grid of the block's rows one state per row.  Each state
-    fills its rows' real rails, then their imaginary rails, exactly as
-    standard_normal(rows) + 1j * standard_normal(rows) would, through one
-    (2, ...) real buffer whose scaled rails are written into the output's
-    parts."""
+    per row; see AwgnSpec.seed.  Each seed's PCG64, inside a Generator,
+    fills its rows: a 0-d grid's one seed the whole block, a grid of the
+    block's rows one row each.  It fills its rows' real rails, then their
+    imaginary rails, exactly as standard_normal(rows) + 1j *
+    standard_normal(rows) would, through one (2, ...) real buffer whose
+    scaled rails are written into the output's parts."""
     seeds = _trial_seeds(seed)
     scale = np.asarray(scale)
     noise = np.empty(shape, dtype=complex)
@@ -130,14 +125,13 @@ def _draw_noise(seed, shape, scale) -> np.ndarray:
     elif grid == shape[:-1]:
         rows, scale = noise.reshape(-1, shape[-1]), scale.reshape(-1)
     else:
-        raise LengthMismatch(f"per-row seeds {grid} do not match frame rows {shape[:-1]}")
-    # real and imaginary parts as views (2, rows, ...); each state's scaled
+        raise ConfigError(f"per-row seeds {grid} do not match frame rows {shape[:-1]}")
+    # real and imaginary parts as views (2, rows, ...); each seed's scaled
     # rails are written straight into them
     parts = np.moveaxis(rows.view(float).reshape(rows.shape + (2,)), -1, 0)
     rails = np.empty(parts[:, 0].shape)
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for row in seeds.reseed(bitgen):
+    for row, bitgen in enumerate(seeds.bit_generators()):
+        rng = np.random.Generator(bitgen)
         rng.standard_normal(out=rails[0])
         rng.standard_normal(out=rails[1])
         np.multiply(rails, scale[row][..., None], out=parts[:, row])
@@ -153,7 +147,7 @@ def awgn(frame: BasebandFrame, spec: AwgnSpec) -> BasebandFrame:
     """
     samples = np.asarray(frame.samples, dtype=complex)
     if samples.size == 0:
-        raise EmptyFrame("cannot add noise to an empty frame")
+        raise ConfigError("cannot add noise to an empty frame")
     with numerical_errors("awgn"):
         variance = spec.noise_variance(np.mean(np.abs(samples) ** 2, axis=-1))
         if not np.any(variance):
@@ -175,7 +169,7 @@ class MultipathSpec:
         self.tap_delays = np.asarray(self.tap_delays, dtype=np.int64)
         self.tap_gains = np.asarray(self.tap_gains, dtype=complex)
         if len(self.tap_delays) != len(self.tap_gains):
-            raise LengthMismatch("tap delay and gain counts differ")
+            raise ConfigError("tap delay and gain counts differ")
         if len(self.tap_delays) == 0:
             raise ConfigError("channel needs at least one tap")
         if self.tap_delays[0] != 0 or np.any(np.diff(self.tap_delays) < 0):
@@ -212,9 +206,8 @@ class MultipathSpec:
         if not isinstance(n_taps, numbers.Integral) or isinstance(n_taps, bool) or n_taps < 1:
             raise ConfigError(f"channel needs a whole number of taps >= 1, got {n_taps!r:.60}")
         _check_db(abs(decay_db_per_tap) * (n_taps - 1), "channel power span")
-        bitgen = np.random.PCG64(0)
-        for _ in metrics.TrialSeeds.grid([seed], ()).reseed(bitgen):  # one trial
-            phases = np.random.Generator(bitgen).uniform(0.0, 2.0 * np.pi, n_taps)
+        bitgen, = metrics.TrialSeeds.grid([seed], ()).bit_generators()  # one trial
+        phases = np.random.Generator(bitgen).uniform(0.0, 2.0 * np.pi, n_taps)
         delays = np.arange(n_taps)
         amplitude = 10.0 ** (-decay_db_per_tap * delays / 20.0)
         return cls(tap_delays=delays, tap_gains=amplitude * np.exp(1j * phases),
@@ -255,24 +248,26 @@ def apply_multipath(frame: BasebandFrame, spec: MultipathSpec) -> BasebandFrame:
 
     A block (..., n) convolves every row with the same taps, a tile of
     rows under ``_MULTIPATH_TILE_BYTES`` at a time; each row gets the bits
-    of a call on that row alone.
+    of a call on that row alone.  An output sample that overflows raises
+    NumericalError.
     """
     x = np.atleast_1d(np.asarray(frame.samples, dtype=complex))
     n = x.shape[-1]
     if spec.max_delay >= n:
-        raise DelayExceedsFrame(
+        raise ConfigError(
             f"max delay {spec.max_delay} >= frame length {n}"
         )
     out = np.zeros(x.shape[:-1] + (n + spec.max_delay,), dtype=complex)
     rows, out_rows = x.reshape(-1, n), out.reshape(-1, out.shape[-1])
     tile = max(1, _MULTIPATH_TILE_BYTES // (n * x.itemsize))
     product = np.empty((min(tile, len(rows)), n), dtype=complex)  # every tap's product
-    for start in range(0, len(rows), tile):
-        x_tile, out_tile = rows[start:start + tile], out_rows[start:start + tile]
-        tile_product = product[:len(x_tile)]
-        for delay, gain in zip(spec.tap_delays, spec.tap_gains):
-            np.multiply(gain, x_tile, out=tile_product)
-            out_tile[:, delay:delay + n] += tile_product
+    with numerical_errors("apply_multipath"):
+        for start in range(0, len(rows), tile):
+            x_tile, out_tile = rows[start:start + tile], out_rows[start:start + tile]
+            tile_product = product[:len(x_tile)]
+            for delay, gain in zip(spec.tap_delays, spec.tap_gains):
+                np.multiply(gain, x_tile, out=tile_product)
+                out_tile[:, delay:delay + n] += tile_product
     return BasebandFrame(out, frame.sample_rate)
 
 
@@ -293,13 +288,13 @@ _EQUALIZE_EPS = 1e-6  # floor on the channel response |H| (see equalize)
 def _zero_forcing_bins(response_bytes: bytes, m: int, n: int, rolloff):
     """(occupied bins, channel response on them) for a Fourier body of m
     bins carrying n subcarriers, built once per impulse response (as
-    bytes), m, n and roll-off, and shared read-only.  Raises SingularChannel
+    bytes), m, n and roll-off, and shared read-only.  Raises NumericalError
     when the response falls below _EQUALIZE_EPS on an occupied bin."""
     response = np.fft.fft(np.frombuffer(response_bytes, dtype=complex), n=m)
     occupied = np.nonzero(modem._grid_weights(n, m, rolloff) > 1e-12)[0]
     gains = response[occupied]
     if np.any(np.abs(gains) < _EQUALIZE_EPS):
-        raise SingularChannel(
+        raise NumericalError(
             "channel response below eps on an occupied subcarrier"
         )
     occupied.flags.writeable = False
@@ -327,7 +322,7 @@ def equalize(frame: BasebandFrame, channel: MultipathSpec,
 
     Fourier chain: the cyclic prefix is stripped, one-tap ZF is applied per
     occupied bin of the body DFT, and the result is fed through the inverse
-    precoder.  Raises SingularChannel when any occupied bin of the channel
+    precoder.  Raises NumericalError when any occupied bin of the channel
     response falls below _EQUALIZE_EPS, and otherwise ConfigError when the
     cyclic prefix is shorter than the channel memory (max_delay samples).
 
@@ -337,28 +332,31 @@ def equalize(frame: BasebandFrame, channel: MultipathSpec,
 
     A block of frames (..., length) gives a block of symbol rows.  The
     channel's frequency response is computed once per (taps, length) and
-    reused by every later block.
+    reused by every later block.  Samples whose spectrum or equalized value
+    overflows raise NumericalError.
     """
     samples = np.atleast_1d(np.asarray(frame.samples, dtype=complex))
+    if samples.shape[-1] < cfg.frame_length:
+        raise ConfigError("frame shorter than cyclic prefix plus body")
     response_bytes = channel.impulse_response().tobytes()
     if cfg.transform == FOURIER:
         m = cfg.body_length
         start = cfg.cp_length
-        if samples.shape[-1] < start + m:
-            raise LengthMismatch("frame shorter than cyclic prefix plus body")
         occupied, gains = _zero_forcing_bins(
             response_bytes, m, cfg.n_subcarriers, cfg.tx_rolloff
         )
         check_cyclic_prefix(channel, cfg)
-        spectrum = np.fft.fft(samples[..., start:start + m], norm="ortho")
-        spectrum[..., occupied] /= gains
-        return _unprecode(modem._fourier_bins(spectrum, cfg), cfg)
+        with numerical_errors("equalize"):
+            spectrum = np.fft.fft(samples[..., start:start + m], norm="ortho")
+            spectrum[..., occupied] /= gains
+            return _unprecode(modem._fourier_bins(spectrum, cfg), cfg)
     # wavelet-packet: regularized full-frame deconvolution
     numerator, denominator = _deconvolution_filter(response_bytes,
                                                    samples.shape[-1])
-    spectrum = np.fft.fft(samples)
-    spectrum *= numerator
-    spectrum /= denominator
-    body = np.fft.ifft(spectrum)[..., :cfg.body_length]
+    with numerical_errors("equalize"):
+        spectrum = np.fft.fft(samples)
+        spectrum *= numerator
+        spectrum /= denominator
+        body = np.fft.ifft(spectrum)[..., :cfg.body_length]
     del spectrum  # freed before the demodulator allocates
     return ofdm_demodulate(BasebandFrame(body, frame.sample_rate), cfg)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _wavelet_coeffs
-from .errors import BadLength, ConfigError, LengthMismatch, OddLength, UnsupportedFamily
+from .errors import ConfigError
 
 DWT_PRUNED = "dwt-pruned"
 WPT_FULL = "wpt-full"
@@ -55,7 +55,7 @@ class WaveletFilterPair:
         if h.ndim != 1 or g.ndim != 1:
             raise ConfigError("filter taps must be one-dimensional")
         if len(h) != len(g):
-            raise LengthMismatch(
+            raise ConfigError(
                 f"lowpass has {len(h)} taps, highpass has {len(g)}"
             )
         if len(h) % 2 != 0 or len(h) == 0:
@@ -98,7 +98,7 @@ def make_filter(family: str, order: int | None = None) -> WaveletFilterPair:
 
     Raises
     ------
-    UnsupportedFamily
+    ConfigError
         If the family name is unknown, the order is out of range, or the
         name carries an order and one is also passed.
     """
@@ -106,7 +106,7 @@ def make_filter(family: str, order: int | None = None) -> WaveletFilterPair:
     digits = name[len(name.rstrip("0123456789")):]
     if digits:
         if order is not None:
-            raise UnsupportedFamily(
+            raise ConfigError(
                 f"wavelet name {family!r} already carries an order"
             )
         name, order = name[:-len(digits)], int(digits)
@@ -114,10 +114,10 @@ def make_filter(family: str, order: int | None = None) -> WaveletFilterPair:
         order = 1
     key = _FAMILY_ALIASES.get(name)
     if key is None:
-        raise UnsupportedFamily(f"unknown wavelet family {family!r}")
+        raise ConfigError(f"unknown wavelet family {family!r}")
     if key == "haar":
         if order != 1:
-            raise UnsupportedFamily("Haar exists only at order 1")
+            raise ConfigError("Haar exists only at order 1")
         s = np.sqrt(0.5)
         return WaveletFilterPair.from_lowpass([s, s], family="haar")
     tables = {
@@ -128,7 +128,7 @@ def make_filter(family: str, order: int | None = None) -> WaveletFilterPair:
     table = tables[key]
     if order not in table:
         supported = f"{min(table)}..{max(table)}"
-        raise UnsupportedFamily(
+        raise ConfigError(
             f"{key}{order} not available (supported orders: {supported})"
         )
     return WaveletFilterPair.from_lowpass(table[order], family=f"{key}{order}")
@@ -318,13 +318,13 @@ def analysis_step(x, pair: WaveletFilterPair):
     :func:`_haar_butterfly`); a longer pair takes the windowed products of
     windows x[..., 2k + p], whose summation order that function sets.
 
-    Raises BadLength for an empty or 0-d input and OddLength for an odd n.
+    Raises ConfigError for an empty or 0-d input or an odd n.
     """
     x = np.asarray(x)
     if x.size == 0 or x.ndim == 0:
-        raise BadLength(f"empty or 0-d input of shape {x.shape}")
+        raise ConfigError(f"empty or 0-d input of shape {x.shape}")
     if x.shape[-1] % 2 != 0:
-        raise OddLength(f"signal length {x.shape[-1]} is odd")
+        raise ConfigError(f"signal length {x.shape[-1]} is odd")
     if pair.length == 2:
         even, odd = x[..., 0::2], x[..., 1::2]
         h, g = pair.h, pair.g
@@ -347,17 +347,17 @@ def synthesis_step(a, d, pair: WaveletFilterPair):
     products of a and d (:func:`_haar_butterfly`).  Longer pairs take the
     windowed products of windows of L/2 subband samples, a[..., m - p], once
     for a and once for d, so every frame of a block of any size gives the
-    bits of a call on that frame alone.  Raises BadLength for empty or 0-d
+    bits of a call on that frame alone.  Raises ConfigError for empty or 0-d
     subbands.
     """
     a = np.asarray(a)
     d = np.asarray(d)
     if a.shape != d.shape:
-        raise LengthMismatch(
+        raise ConfigError(
             f"approximation shape {a.shape} != detail shape {d.shape}"
         )
     if a.size == 0 or a.ndim == 0:
-        raise BadLength(f"empty or 0-d subbands of shape {a.shape}")
+        raise ConfigError(f"empty or 0-d subbands of shape {a.shape}")
     out = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=np.result_type(a, d, pair.h))
     h, g = pair.h, pair.g
     if pair.length == 2:
@@ -409,15 +409,15 @@ def band_lengths(tree_kind: str, levels: int, n: int) -> list[int]:
     """Per-band coefficient counts for a length-n input.
 
     The one check of a subband layout: raises ConfigError for an unknown
-    tree kind or levels < 1, and BadLength unless n is a positive multiple
-    of 2**levels.
+    tree kind, for levels < 1, and unless n is a positive multiple of
+    2**levels.
     """
     if tree_kind not in (DWT_PRUNED, WPT_FULL):
         raise ConfigError(f"unknown tree kind {tree_kind!r}")
     if levels < 1:
         raise ConfigError("levels must be >= 1")
     if n == 0 or n % (2**levels) != 0:
-        raise BadLength(f"length {n} is not a positive multiple of 2**{levels}")
+        raise ConfigError(f"length {n} is not a positive multiple of 2**{levels}")
     if tree_kind == DWT_PRUNED:
         # [a_J, d_J, d_{J-1}, ..., d_1]
         return [n >> levels] + [n >> j for j in range(levels, 0, -1)]

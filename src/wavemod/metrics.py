@@ -17,17 +17,9 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-from .errors import (
-    BitCountMismatch,
-    ConfigError,
-    LengthMismatch,
-    NumericalError,
-    ZeroBandwidth,
-    ZeroEnergy,
-    ZeroReferenceSymbol,
-    numerical_errors,
-)
+from .errors import ConfigError, NumericalError, numerical_errors
 from .modem import (
     BasebandFrame,
     ConstellationSpec,
@@ -50,7 +42,7 @@ def papr_db(frame: BasebandFrame):
         power += x.imag**2
         peak = np.max(power, axis=-1, initial=0.0)
         if power.size == 0 or not np.all(peak > 0):
-            raise ZeroEnergy("PAPR undefined for an empty or silent frame")
+            raise ConfigError("PAPR undefined for an empty or silent frame")
         ratio = 10.0 * np.log10(peak / np.mean(power, axis=-1))
     return float(ratio) if ratio.ndim == 0 else ratio
 
@@ -127,20 +119,19 @@ def trial_blocks(count: int, frame_length: int):
             for start in range(0, count, size)]
 
 
-# numpy's SeedSequence hash (bit_generator.pyx) and PCG64 seeding
-# (pcg64.c).  NEP 19 keeps both streams stable across numpy versions, while
-# Generator methods such as integers may change theirs.  The hash runs
-# vectorised over all trials: on the papr-tx benchmark (2 vCPUs, 10 rotated
-# runs) numpy's own SeedSequence(row).generate_state per trial, with the
-# same reused PCG64, ran 20% fewer frames/s (6505 -> 5194 median, slower in
-# all 10), and a new PCG64(row) per trial 10% fewer (5861, slower in 9).
+# numpy's SeedSequence hash (bit_generator.pyx).  NEP 19 keeps it and the
+# PCG64 stream stable across numpy versions, while Generator methods such as
+# integers may change theirs.  The hash runs vectorised over all trials: on
+# the papr-tx benchmark (2 vCPUs, 10 rotated runs) numpy's own
+# SeedSequence(row).generate_state per trial ran 20% fewer frames/s (6505 ->
+# 5194 median, slower in all 10), and a new PCG64(row) per trial, which runs
+# that hash for each row, 10% fewer (5861, slower in 9).  Each trial's PCG64
+# is seeded from its hashed words instead (:class:`_SeedWords`).
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _SS_POOL = 4
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
 
 
 def _seed_words(entropy: np.ndarray) -> np.ndarray:
@@ -195,6 +186,18 @@ def _entropy_words(seed) -> list[int]:
     return words
 
 
+class _SeedWords(ISeedSequence):
+    """One trial's four hashed seed words, handed to PCG64 as its seed
+    sequence: PCG64 asks for generate_state(4, uint64) and seeds itself
+    from the words as from SeedSequence's."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 class TrialSeeds:
     """PCG64 seed words of a grid of seeded Monte-Carlo trials.
 
@@ -202,9 +205,9 @@ class TrialSeeds:
     default_rng([*prefix, *index, *suffix]).  The seeds of all trials are
     hashed at once (each int split into its uint32 words, as SeedSequence
     does) into ``words``, a read-only (*grid, 4) uint64 array;
-    ``seeds[index]`` is the TrialSeeds of a sub-grid.  :meth:`reseed`
-    sets one reused PCG64 to each trial's state in turn, so no trial
-    builds its own generator.  A 0-d grid (shape ()) is the one seed
+    ``seeds[index]`` is the TrialSeeds of a sub-grid.
+    :meth:`bit_generators` seeds each trial's PCG64 from its words, with no
+    hash per trial.  A 0-d grid (shape ()) is the one seed
     [*prefix, *suffix].  Every entry of prefix and suffix is an integer
     >= 0 and not a bool, or ConfigError is raised.
     """
@@ -234,20 +237,9 @@ class TrialSeeds:
     def __getitem__(self, index) -> "TrialSeeds":
         return TrialSeeds(self.words[index])
 
-    def reseed(self, bitgen: np.random.PCG64):
-        """Set bitgen to each trial's PCG64 state in turn (the trials in C
-        order), yielding the trial's flat position after each."""
-        for row, (w0, w1, w2, w3) in enumerate(self.words.reshape(-1, 4).tolist()):
-            # pcg64_set_seed: inc = 2 * seq + 1, then two LCG steps from 0
-            inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
-            state = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & _MASK128
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield row
+    def bit_generators(self):
+        """Each trial's PCG64, seeded from its words, the trials in C order."""
+        return (np.random.PCG64(_SeedWords(row)) for row in self.words.reshape(-1, 4))
 
 
 class TrialBits:
@@ -256,7 +248,7 @@ class TrialBits:
     Trial `index` (a position in `shape`) gets exactly
     default_rng([*prefix, *index]).integers(0, 2, n_bits).  The trials'
     seeds are one :class:`TrialSeeds` grid, and each trial's bits are raw
-    output of one reused PCG64 set from its seed words: integers(0, 2) is
+    output of its PCG64, seeded from its seed words: integers(0, 2) is
     numpy's Lemire draw, which returns bit 31 and then bit 63 of each
     64-bit output.  Only the seed words are kept, never the bits of all
     trials.  A prefix entry that is not an integer >= 0 (a bool included)
@@ -272,7 +264,6 @@ class TrialBits:
 
     def __init__(self, prefix, shape, n_bits: int):
         self._seeds = TrialSeeds.grid(prefix, shape)
-        self._bitgen = np.random.PCG64(0)
         self._n_bits = n_bits
 
     def _raw(self, index) -> np.ndarray:
@@ -281,8 +272,8 @@ class TrialBits:
         *lead, trials = index
         seeds = self._seeds[tuple(lead) + (slice(trials.start, trials.stop),)]
         raw = np.empty((len(seeds.words), (self._n_bits + 1) // 2), dtype=np.uint64)
-        for row in seeds.reseed(self._bitgen):
-            raw[row] = self._bitgen.random_raw(raw.shape[1])
+        for row, bitgen in enumerate(seeds.bit_generators()):
+            raw[row] = bitgen.random_raw(raw.shape[1])
         return raw
 
     def __call__(self, *index) -> np.ndarray:
@@ -301,7 +292,7 @@ class TrialBits:
         between symbols, so those symbols are mapped from the bits."""
         k = spec.bits_per_symbol
         if self._n_bits % k:
-            raise BitCountMismatch(f"{self._n_bits} bits not divisible by {k}")
+            raise ConfigError(f"{self._n_bits} bits not divisible by {k}")
         if k % 2 and k != 1:
             return map_bits(self(*index), spec)
         raw = self._raw(index)
@@ -339,7 +330,7 @@ def _papr_ratios(symbols: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     power += body.imag**2
     peak = np.max(power, axis=-1)
     if np.any(peak == 0.0):
-        raise ZeroEnergy("PAPR undefined for an empty or silent frame")
+        raise ConfigError("PAPR undefined for an empty or silent frame")
     total = np.sum(power, axis=-1)
     cp = cfg.cp_length
     if cp:
@@ -402,13 +393,13 @@ def evm(received, reference):
     received = _numbers(received, "received symbols", complex)
     reference = _numbers(reference, "reference symbols", complex)
     if reference.shape not in (received.shape, received.shape[-1:]):
-        raise LengthMismatch("received/reference symbol counts differ")
+        raise ConfigError("received/reference symbol counts differ")
     if received.size == 0:
         raise ConfigError("EVM needs at least one symbol")
     with numerical_errors("evm"):
         ref_power = np.abs(reference) ** 2
         if np.any(ref_power == 0.0):
-            raise ZeroReferenceSymbol("reference symbols must be nonzero")
+            raise ConfigError("reference symbols must be nonzero")
         ratio = np.abs(received - reference) ** 2 / ref_power
         value = np.mean(ratio, axis=-1 if received.ndim > 1 else None)
     # a NaN symbol raises no floating-point error, so the values are checked
@@ -426,10 +417,10 @@ class PsdEstimate:
     resolution_bw: float
 
     def __post_init__(self):
-        self.freqs = np.asarray(self.freqs, dtype=float)
-        self.power_db = np.asarray(self.power_db, dtype=float)
-        if self.freqs.shape != self.power_db.shape:
-            raise LengthMismatch("frequency and power arrays differ in length")
+        self.freqs = _numbers(self.freqs, "frequencies", float)
+        self.power_db = _numbers(self.power_db, "powers", float)
+        if self.freqs.ndim != 1 or self.freqs.shape != self.power_db.shape:
+            raise ConfigError("frequency and power arrays must be 1-D of one length")
 
     def power_linear(self) -> np.ndarray:
         return 10.0 ** (self.power_db / 10.0)
@@ -437,32 +428,38 @@ class PsdEstimate:
 
 def occupied_bandwidth(estimate: PsdEstimate, containment: float = 0.99) -> float:
     """Smallest symmetric band around the power centroid holding the
-    requested power fraction; a single occupied bin reports one bin width."""
+    requested power fraction; a single occupied bin reports one bin width.
+    A power or sum that overflows, or a width that is not finite, raises
+    NumericalError."""
     if not 0.0 < containment < 1.0:
         raise ConfigError("containment must be in (0, 1)")
-    power = estimate.power_linear()
-    total = float(np.sum(power))
-    if not total > 0.0:
-        raise ZeroBandwidth(f"spectrum carries no power (total {total})")
-    centroid = float(np.sum(estimate.freqs * power) / total)
-    distance = np.abs(estimate.freqs - centroid)
-    order = np.argsort(distance)
-    cumulative = np.cumsum(power[order])
-    stop = int(np.searchsorted(cumulative, containment * total))
-    stop = min(stop, len(order) - 1)
-    radius = float(distance[order[stop]])
-    if len(estimate.freqs) > 1:
-        bin_width = float(estimate.freqs[1] - estimate.freqs[0])
-    else:
-        bin_width = estimate.resolution_bw
-    return 2.0 * radius + bin_width
+    with numerical_errors("occupied_bandwidth"):
+        power = estimate.power_linear()
+        total = float(np.sum(power))
+        if not total > 0.0:
+            raise NumericalError(f"spectrum carries no power (total {total})")
+        centroid = float(np.sum(estimate.freqs * power) / total)
+        distance = np.abs(estimate.freqs - centroid)
+        order = np.argsort(distance)
+        cumulative = np.cumsum(power[order])
+        stop = int(np.searchsorted(cumulative, containment * total))
+        stop = min(stop, len(order) - 1)
+        radius = float(distance[order[stop]])
+        if len(estimate.freqs) > 1:
+            bin_width = float(estimate.freqs[1] - estimate.freqs[0])
+        else:
+            bin_width = estimate.resolution_bw
+        width = 2.0 * radius + bin_width
+    if not math.isfinite(width):
+        raise NumericalError(f"occupied bandwidth is {width}")
+    return width
 
 
 def spectral_efficiency(bit_rate: float, bandwidth: float) -> float:
     """Bit rate divided by occupied bandwidth, in b/s/Hz; a result that is
     not finite raises NumericalError."""
     if not bandwidth > 0.0:
-        raise ZeroBandwidth(f"bandwidth must be positive, got {bandwidth}")
+        raise NumericalError(f"bandwidth must be positive, got {bandwidth}")
     value = float(bit_rate) / float(bandwidth)
     if not math.isfinite(value):
         raise NumericalError(f"spectral efficiency of {bit_rate!r} b/s is {value}")

@@ -40,16 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BitCountMismatch,
-    ConfigError,
-    ConfigInvariantViolated,
-    LengthMismatch,
-    PeriodTooShort,
-    StreamPulseCountMismatch,
-    UnsupportedFamily,
-    numerical_errors,
-)
+from .errors import ConfigError, numerical_errors
 from .filterbank import (
     DWT_PRUNED,
     WPT_FULL,
@@ -148,7 +139,7 @@ def map_bits(bits, spec: ConstellationSpec) -> np.ndarray:
     bits = bits.astype(np.int64, copy=False)
     k = spec.bits_per_symbol
     if bits.shape[-1] % k != 0:
-        raise BitCountMismatch(f"{bits.shape[-1]} bits not divisible by {k}")
+        raise ConfigError(f"{bits.shape[-1]} bits not divisible by {k}")
     words = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // k, k))
     index = np.zeros(words.shape[:-1], dtype=np.int64)
     for b in range(k):
@@ -162,9 +153,10 @@ def demap_symbols(symbols, spec: ConstellationSpec) -> np.ndarray:
     Demaps the last axis: (..., n) symbols give (..., n * k) bits.  Each
     symbol takes the first alphabet point at its least distance, as argmin
     over the (..., n, alphabet) distances would, one alphabet point at a
-    time.
+    time.  Symbols that are not numbers, or whose least distance is not
+    finite (NaN, infinite or beyond the float range), raise ConfigError.
     """
-    symbols = np.atleast_1d(np.asarray(symbols, dtype=complex))
+    symbols = np.atleast_1d(_numbers(symbols, "symbols", complex))
     alphabet = spec.alphabet
     diff = symbols - alphabet[0]
     best = np.abs(diff)
@@ -177,6 +169,8 @@ def demap_symbols(symbols, spec: ConstellationSpec) -> np.ndarray:
         np.less(dist, best, out=closer)
         np.copyto(index, point, where=closer)
         np.copyto(best, dist, where=closer)
+    if not np.all(np.isfinite(best)):
+        raise ConfigError("symbols must be finite numbers within the float range")
     k = spec.bits_per_symbol
     bits = np.empty(index.shape + (k,), dtype=np.int64)
     for b in range(k):
@@ -203,53 +197,53 @@ class OfdmConfig:
     def __post_init__(self):
         n = self.n_subcarriers
         if not isinstance(n, numbers.Integral) or n < 2 or (n & (n - 1)) != 0:
-            raise ConfigInvariantViolated(
+            raise ConfigError(
                 f"subcarrier count {n!r} is not an integer power of two"
             )
         if self.transform not in (FOURIER, WAVELET_PACKET):
-            raise ConfigInvariantViolated(f"unknown transform {self.transform!r}")
+            raise ConfigError(f"unknown transform {self.transform!r}")
         if self.oversampling < 1 or int(self.oversampling) != self.oversampling:
-            raise ConfigInvariantViolated("oversampling must be a positive integer")
+            raise ConfigError("oversampling must be a positive integer")
         if not 0.0 <= self.cp_fraction < 1.0:
-            raise ConfigInvariantViolated("cp_fraction must be in [0, 1)")
+            raise ConfigError("cp_fraction must be in [0, 1)")
         if self.transform == WAVELET_PACKET:
             if self.pair is None:
-                raise ConfigInvariantViolated("wavelet-packet transform needs a filter pair")
+                raise ConfigError("wavelet-packet transform needs a filter pair")
             if self.cp_fraction != 0.0:
-                raise ConfigInvariantViolated(
+                raise ConfigError(
                     "wavelet-packet chains carry no cyclic prefix"
                 )
             levels = self.levels
             if levels is None or 2**levels != n:
-                raise ConfigInvariantViolated(
+                raise ConfigError(
                     f"wavelet-packet needs 2**levels == {n}"
                 )
             if self.wpm_interp not in (INTERP_FIR, INTERP_FFT):
-                raise ConfigInvariantViolated(
+                raise ConfigError(
                     f"unknown interpolation {self.wpm_interp!r}"
                 )
         if self.tx_rolloff is not None:
             if self.transform != FOURIER:
-                raise ConfigInvariantViolated(
+                raise ConfigError(
                     "transmit roll-off shaping applies to the Fourier chain only"
                 )
             if not 0.0 <= self.tx_rolloff <= 1.0:
-                raise ConfigInvariantViolated("tx_rolloff must lie in [0, 1]")
+                raise ConfigError("tx_rolloff must lie in [0, 1]")
             if self.oversampling < 1.0 + self.tx_rolloff:
-                raise ConfigInvariantViolated(
+                raise ConfigError(
                     "oversampling must cover the excess band (>= 1 + rolloff)"
                 )
         if self.precoder not in (PRECODER_NONE, PRECODER_DFT, PRECODER_DWT,
                                  PRECODER_WPT):
-            raise ConfigInvariantViolated(f"unknown precoder {self.precoder!r}")
+            raise ConfigError(f"unknown precoder {self.precoder!r}")
         if self.precoder in (PRECODER_DWT, PRECODER_WPT):
             if self.pair is None:
-                raise ConfigInvariantViolated(
+                raise ConfigError(
                     "wavelet precoders need a filter pair"
                 )
             j = _precoder_depth(self)
             if n % (2**j) != 0:
-                raise ConfigInvariantViolated(
+                raise ConfigError(
                     f"wavelet precoder depth {j} incompatible with {n} subcarriers"
                 )
 
@@ -451,7 +445,7 @@ def _shipped_taps(family: str) -> tuple[bytes, bytes] | None:
     family, or None when no shipped pair has that name."""
     try:
         pair = make_filter(family)
-    except UnsupportedFamily:
+    except ConfigError:
         return None
     return pair.h.tobytes(), pair.g.tobytes()
 
@@ -528,7 +522,7 @@ def ofdm_modulate(symbols, cfg: OfdmConfig) -> BasebandFrame:
     symbols = _numbers(symbols, "symbols", complex)
     count = symbols.shape[-1] if symbols.ndim else 1
     if symbols.ndim == 0 or count != cfg.n_subcarriers:
-        raise LengthMismatch(
+        raise ConfigError(
             f"expected {cfg.n_subcarriers} symbols, got {count}"
         )
     with numerical_errors("ofdm_modulate"):
@@ -547,17 +541,19 @@ def ofdm_modulate(symbols, cfg: OfdmConfig) -> BasebandFrame:
 
 def ofdm_demodulate(frame: BasebandFrame, cfg: OfdmConfig) -> np.ndarray:
     """Exact inverse of :func:`ofdm_modulate` in the absence of a channel
-    (a block of frames gives a block of symbol rows)."""
+    (a block of frames gives a block of symbol rows).  Samples whose
+    transform overflows raise NumericalError."""
     samples = np.asarray(frame.samples, dtype=complex)
     if samples.ndim == 0 or samples.shape[-1] < cfg.frame_length:
-        raise LengthMismatch(
+        raise ConfigError(
             f"frame has {samples.shape[-1] if samples.ndim else 1} samples, "
             f"config needs {cfg.frame_length}"
         )
     body = samples[..., cfg.cp_length:cfg.cp_length + cfg.body_length]
-    if _precoder_cancels(cfg):
-        return _decimate_body(body, cfg)
-    return _unprecode(_analyze_body(body, cfg), cfg)
+    with numerical_errors("ofdm_demodulate"):
+        if _precoder_cancels(cfg):
+            return _decimate_body(body, cfg)
+        return _unprecode(_analyze_body(body, cfg), cfg)
 
 
 # --- wavelet shift keying --------------------------------------------------------
@@ -577,7 +573,7 @@ def wsk_modulate(bits, mother: SampledWaveform, symbol_period: float) -> Baseban
     hop = int(round(hop))
     pulse = np.asarray(mother.samples)
     if hop < len(pulse):
-        raise PeriodTooShort(
+        raise ConfigError(
             f"symbol period {hop} samples shorter than pulse ({len(pulse)})"
         )
     out = np.zeros((len(bits) - 1) * hop + len(pulse), dtype=complex)
@@ -613,7 +609,7 @@ def pulse_shape_dyadic(symbol_streams, pulses, symbol_period: float) -> Baseband
     Stream m must therefore carry 2**m symbols per period.
     """
     if len(symbol_streams) != len(pulses):
-        raise StreamPulseCountMismatch(
+        raise ConfigError(
             f"{len(symbol_streams)} streams vs {len(pulses)} pulses"
         )
     dt = pulses[0].dt

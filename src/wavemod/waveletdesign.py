@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptySpectrum,
-    NotConverged,
-    SpanTooSmall,
-    UndersampledMother,
-)
+from .errors import ConfigError, NumericalError
 from .filterbank import WaveletFilterPair
 
 
@@ -200,7 +194,7 @@ def mod_gauss_time(
     """
     span = n_samples * dt
     if span < 16.0 * params.sigma_t:
-        raise SpanTooSmall(
+        raise ConfigError(
             f"span {span:.3g} shorter than 16 sigma T = "
             f"{16 * params.sigma_t:.3g}"
         )
@@ -233,7 +227,7 @@ def derive_scaling_filter(
     the symbol period).  Taps are returned over the window where the two
     supports overlap; `truncated` flags edge taps above tap_threshold.
 
-    Raises NotConverged when sum(h) misses sqrt(2) by more than 1e-4.
+    Raises NumericalError when sum(h) misses sqrt(2) by more than 1e-4.
     """
     T = params.symbol_period
     shift = T / phi.dt
@@ -255,14 +249,14 @@ def derive_scaling_filter(
     taps = np.asarray(taps)
     keep = np.abs(taps) > tap_threshold
     if not np.any(keep):
-        raise NotConverged("all two-scale taps below threshold")
+        raise NumericalError("all two-scale taps below threshold")
     first = int(np.argmax(keep))
     last = len(taps) - 1 - int(np.argmax(keep[::-1]))
     window = taps[first:last + 1]
     truncated = bool(first == 0 or last == len(taps) - 1)
     total = float(np.sum(window))
     if abs(total - np.sqrt(2.0)) > 1e-4:
-        raise NotConverged(
+        raise NumericalError(
             f"sum of derived taps {total:.6f} differs from sqrt(2) by "
             f"{abs(total - np.sqrt(2)):.2e}"
         )
@@ -296,7 +290,7 @@ def sidelobe_level(spec: SpectrumSamples) -> float:
     """
     mag = np.abs(np.asarray(spec.values, dtype=complex)).astype(float)
     if mag.size == 0 or not np.any(mag > 0):
-        raise EmptySpectrum("no nonzero spectrum samples")
+        raise ConfigError("no nonzero spectrum samples")
     peak = int(np.argmax(mag))
     right = _main_lobe_edge(mag, peak, +1)
     left = _main_lobe_edge(mag, peak, -1)
@@ -391,7 +385,7 @@ def dyadic_pulse_set(mother: SampledWaveform, n_dyadics: int) -> list[SampledWav
     if abs(mother.t0) > 1e-12:
         raise ConfigError("mother must be sampled from t0 = 0")
     if len(mother.samples) // (2**n_dyadics) < 16:
-        raise UndersampledMother(
+        raise ConfigError(
             f"{len(mother.samples)} samples leave fewer than 16 in the "
             f"fastest of {n_dyadics + 1} pulses"
         )

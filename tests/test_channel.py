@@ -10,14 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from wavemod import channel as ch
 from wavemod import configio, experiments, metrics, modem
 from wavemod import filterbank as fb
-from wavemod.errors import (
-    ConfigError,
-    DelayExceedsFrame,
-    EmptyFrame,
-    LengthMismatch,
-    NumericalError,
-    SingularChannel,
-)
+from wavemod.errors import ConfigError, NumericalError
 
 HAAR = fb.make_filter("haar")
 
@@ -85,7 +78,7 @@ class TestAwgn:
 
     def test_per_row_seeds_must_match_the_rows(self):
         block = frame_of(np.ones((3, 64)))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ConfigError, match="per-row seeds"):
             ch.awgn(block, ch.AwgnSpec(snr_db=5.0, seed=metrics.TrialSeeds.grid([1], (2,))))
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, [7, -1], [[1, 2], [3, -4]],
@@ -97,7 +90,7 @@ class TestAwgn:
             ch.AwgnSpec(snr_db=10.0, seed=seed)
 
     def test_empty_frame_rejected(self):
-        with pytest.raises(EmptyFrame):
+        with pytest.raises(ConfigError, match="cannot add noise to an empty frame"):
             ch.awgn(frame_of([]), ch.AwgnSpec(snr_db=10.0))
 
     @pytest.mark.parametrize("samples, snr_db", [([1.7e308], 10.0), ([1e150], -100.0)])
@@ -168,7 +161,7 @@ class TestAwgn:
             rng = np.random.default_rng(seed)
             want = 1.0 + scale * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
             assert got[row].tobytes() == alone.tobytes() == want.tobytes()
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ConfigError, match="per-row seeds"):
             ch.awgn(block, dataclasses.replace(spec, seed=grid[1, :2]))
 
 
@@ -237,9 +230,16 @@ class TestMultipath:
         out = ch.apply_multipath(frame_of(np.ones(64)), spec)
         assert len(out.samples) == 64 + spec.max_delay
 
+    def test_overflowing_output_raises(self):
+        """Finite samples whose tap sum leaves the float range: a numerical
+        failure (exit 3), not a frame of non-finite samples (exit 2)."""
+        spec = ch.MultipathSpec([0, 1], [1.0, 1.0], normalize=False)
+        with pytest.raises(NumericalError, match="apply_multipath: overflow"):
+            ch.apply_multipath(frame_of(np.full(16, 1.7e308)), spec)
+
     def test_delay_exceeds_frame(self):
         spec = ch.MultipathSpec.ten_path(seed=9)
-        with pytest.raises(DelayExceedsFrame):
+        with pytest.raises(ConfigError, match="max delay 9 >= frame length 5"):
             ch.apply_multipath(frame_of(np.ones(5)), spec)
 
     def test_default_profile_unit_power_and_decay(self):
@@ -277,7 +277,7 @@ class TestMultipath:
     def test_profile_validation(self):
         with pytest.raises(ConfigError):
             ch.MultipathSpec(tap_delays=[1, 2], tap_gains=[1.0, 0.5])
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ConfigError, match="tap delay and gain counts differ"):
             ch.MultipathSpec(tap_delays=[0], tap_gains=[1.0, 0.5])
         with pytest.raises(ConfigError):  # before normalizing warns
             ch.MultipathSpec(tap_delays=[0], tap_gains=[math.nan])
@@ -345,7 +345,7 @@ class TestEqualize:
         symbols = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         frame = modem.ofdm_modulate(symbols, cfg)
         received = ch.apply_multipath(frame, nulled)
-        with pytest.raises(SingularChannel):
+        with pytest.raises(NumericalError, match="channel response below eps"):
             ch.equalize(received, nulled, cfg)
         received = ch.apply_multipath(frame, benign)
         est = ch.equalize(received, benign, cfg)
@@ -362,9 +362,19 @@ class TestEqualize:
         est = ch.equalize(received, spec, cfg)
         assert np.max(np.abs(est - symbols)) < 1e-8
 
+    @pytest.mark.parametrize("cfg", [
+        modem.OfdmConfig(8, oversampling=2, cp_fraction=0.25),
+        modem.OfdmConfig(8, modem.WAVELET_PACKET, fb.make_filter("haar"), 3, oversampling=2),
+    ], ids=["fourier", "wavelet-packet"])
+    def test_overflowing_frame_raises(self, cfg):
+        """A finite frame whose spectrum leaves the float range."""
+        frame = frame_of(np.full(cfg.frame_length, 1e308))
+        with pytest.raises(NumericalError, match="equalize: overflow"):
+            ch.equalize(frame, ch.MultipathSpec.identity(), cfg)
+
     def test_short_frame_rejected(self):
         cfg = modem.OfdmConfig(128, oversampling=1, cp_fraction=1 / 8)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ConfigError, match="frame shorter than cyclic prefix"):
             ch.equalize(frame_of(np.ones(64)), ch.MultipathSpec.identity(), cfg)
 
     def test_cyclic_prefix_must_cover_channel(self):

@@ -25,15 +25,24 @@ CONFIGS = [
 SPECS = [modem.constellation(kind) for kind in ("bpsk", "qpsk", "qam16")]
 
 DTYPES = st.sampled_from([np.bool_, np.uint8, np.int64, np.float64, np.complex128])
+# N symbols, and the frame lengths of the configs (16 and 20 samples)
+LENGTHS = st.sampled_from(sorted({N} | {cfg.frame_length for cfg in CONFIGS}))
 SHAPES = st.one_of(
     hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=N + 1),
-    st.integers(0, 3).map(lambda rows: (rows, N)),
-    st.just((N,)),
+    st.tuples(st.integers(0, 3), LENGTHS),
+    LENGTHS.map(lambda n: (n,)),
 )
+# finite values near the float limit, where a power, sum or transform
+# overflows, among small ones; default elements rarely draw them
+LIMITS = st.one_of(st.sampled_from([1.7e308, -1.7e308, 1e308, 5e-324]), st.floats(-2, 2))
+REAL_ARRAYS = st.one_of(hnp.arrays(np.float64, SHAPES),
+                        hnp.arrays(np.float64, SHAPES, elements=LIMITS))
 # default elements: nan, infinities, subnormals and the largest floats
 # included; then text and ragged lists, which are not arrays of numbers
 ARRAYS = st.one_of(
     hnp.arrays(DTYPES, SHAPES),
+    hnp.arrays(np.float64, SHAPES, elements=LIMITS),
+    hnp.arrays(np.complex128, SHAPES, elements=st.builds(complex, LIMITS, LIMITS)),
     st.text(max_size=3),
     st.lists(st.lists(st.integers(0, 1), max_size=3), min_size=2, max_size=3),
 )
@@ -50,6 +59,13 @@ THRESHOLDS = st.one_of(
     st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=4),
     hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=3)),
 )
+# unit identity, a two-tap echo, a ten-tap fade, and a DC null (singular)
+PROFILES = st.sampled_from([
+    channel.MultipathSpec.identity(),
+    channel.MultipathSpec([0, 2], [1.0, 0.5j]),
+    channel.MultipathSpec.ten_path(seed=3),
+    channel.MultipathSpec([0, 1], [1.0, -1.0]),
+])
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
 
@@ -82,9 +98,36 @@ def test_map_bits(bits, spec):
 
 
 @FUZZ
+@given(symbols=ARRAYS, spec=st.sampled_from(SPECS))
+def test_demap_symbols(symbols, spec):
+    returns_finite_or_raises(modem.demap_symbols, symbols, spec)
+
+
+@FUZZ
 @given(symbols=ARRAYS, cfg=st.sampled_from(CONFIGS))
 def test_ofdm_modulate(symbols, cfg):
     returns_finite_or_raises(modem.ofdm_modulate, symbols, cfg)
+
+
+@FUZZ
+@given(samples=ARRAYS, cfg=st.sampled_from(CONFIGS))
+def test_ofdm_demodulate(samples, cfg):
+    returns_finite_or_raises(
+        lambda: modem.ofdm_demodulate(modem.BasebandFrame(samples, 1.0), cfg))
+
+
+@FUZZ
+@given(samples=ARRAYS, profile=PROFILES)
+def test_apply_multipath(samples, profile):
+    returns_finite_or_raises(
+        lambda: channel.apply_multipath(modem.BasebandFrame(samples, 1.0), profile))
+
+
+@FUZZ
+@given(samples=ARRAYS, profile=PROFILES, cfg=st.sampled_from(CONFIGS))
+def test_equalize(samples, profile, cfg):
+    returns_finite_or_raises(
+        lambda: channel.equalize(modem.BasebandFrame(samples, 1.0), profile, cfg))
 
 
 @FUZZ
@@ -128,3 +171,11 @@ def test_evm(received, reference):
        bandwidth=st.one_of(FLOATS, st.integers(-2**64, 2**64)))
 def test_spectral_efficiency(bit_rate, bandwidth):
     returns_finite_or_raises(metrics.spectral_efficiency, bit_rate, bandwidth)
+
+
+@FUZZ
+@given(freqs=REAL_ARRAYS, power_db=REAL_ARRAYS, resolution_bw=st.one_of(LIMITS, FLOATS),
+       containment=st.one_of(st.floats(0.5, 0.999), FLOATS))
+def test_occupied_bandwidth(freqs, power_db, resolution_bw, containment):
+    returns_finite_or_raises(lambda: metrics.occupied_bandwidth(
+        metrics.PsdEstimate(freqs, power_db, resolution_bw), containment))

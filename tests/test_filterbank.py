@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from wavemod import filterbank as fb
-from wavemod.errors import (
-    BadLength,
-    ConfigError,
-    LengthMismatch,
-    OddLength,
-    UnsupportedFamily,
-)
+from wavemod.errors import ConfigError
 
 ALL_FAMILIES = fb.list_families()
 SQRT2 = np.sqrt(2.0)
@@ -54,15 +48,15 @@ class TestMakeFilter:
         assert alias < 1e-10 and amplitude < 1e-10
 
     def test_unsupported_orders(self):
-        with pytest.raises(UnsupportedFamily):
+        with pytest.raises(ConfigError, match="db99 not available"):
             fb.make_filter("daubechies", 99)
-        with pytest.raises(UnsupportedFamily):
+        with pytest.raises(ConfigError, match="sym1 not available"):
             fb.make_filter("symlet", 1)
-        with pytest.raises(UnsupportedFamily):
+        with pytest.raises(ConfigError, match="coif6 not available"):
             fb.make_filter("coiflet", 6)
-        with pytest.raises(UnsupportedFamily):
+        with pytest.raises(ConfigError, match="Haar exists only at order 1"):
             fb.make_filter("haar", 2)
-        with pytest.raises(UnsupportedFamily):
+        with pytest.raises(ConfigError, match="unknown wavelet family .meyer."):
             fb.make_filter("meyer", 1)
 
     @pytest.mark.parametrize("name", ALL_FAMILIES)
@@ -83,11 +77,11 @@ class TestMakeFilter:
         assert fb.make_filter("coif2").family == "coif2"
         assert fb.make_filter(" Daubechies10").family == "db10"
         assert_array_equal(fb.make_filter("sym6").h, fb.make_filter("symlet", 6).h)
-        with pytest.raises(UnsupportedFamily):
+        with pytest.raises(ConfigError, match="unknown wavelet family .wavelet9000."):
             fb.make_filter("wavelet9000")
-        with pytest.raises(UnsupportedFamily):
+        with pytest.raises(ConfigError, match="already carries an order"):
             fb.make_filter("db4", 4)  # the order given twice
-        with pytest.raises(UnsupportedFamily):
+        with pytest.raises(ConfigError, match="db21 not available"):
             fb.make_filter("db21")
 
 
@@ -109,7 +103,7 @@ class TestAnalysisSynthesis:
         assert abs(direct - np.sum(np.abs(x) ** 2)) < 1e-9
 
     def test_odd_length_rejected(self):
-        with pytest.raises(OddLength):
+        with pytest.raises(ConfigError, match="signal length 3 is odd"):
             fb.analysis_step([1.0, 2.0, 3.0], fb.make_filter("haar"))
 
     def test_synthesis_inverts_analysis(self):
@@ -130,7 +124,7 @@ class TestAnalysisSynthesis:
                         atol=1e-15)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ConfigError, match="approximation shape"):
             fb.synthesis_step([1.0, 2.0], [1.0], fb.make_filter("haar"))
 
     @pytest.mark.parametrize("call", [
@@ -150,7 +144,8 @@ class TestAnalysisSynthesis:
     def test_empty_input_is_bad_length(self, call):
         """Empty inputs, and 0-d ones, which have no samples axis."""
         for name in ALL_FAMILIES:
-            with pytest.raises(BadLength):
+            with pytest.raises(ConfigError,
+                               match="empty or 0-d|length 0 is not a positive multiple"):
                 call(fb.make_filter(name))
 
 
@@ -211,7 +206,7 @@ class TestDwt:
         assert np.max(np.abs(back - x)) < 1e-9
 
     def test_bad_length(self):
-        with pytest.raises(BadLength):
+        with pytest.raises(ConfigError, match="length 12 is not a positive multiple"):
             fb.dwt(np.zeros(12), fb.make_filter("haar"), levels=3)
 
     def test_band_counts_and_total(self):
@@ -569,7 +564,7 @@ def test_roundtrip_property(seed, k, name):
 class TestSubbandSet:
     def test_band_count_validated(self):
         """Four coefficients cannot form the 2**3 bands of a 3-level tree."""
-        with pytest.raises(BadLength):
+        with pytest.raises(ConfigError, match="length 4 is not a positive multiple"):
             fb.SubbandSet(np.zeros(4), tree_kind=fb.WPT_FULL, levels=3)
 
     def test_unknown_tree_kind(self):
@@ -587,7 +582,7 @@ class TestSubbandSet:
     def test_band_lengths_layouts(self):
         assert fb.band_lengths(fb.DWT_PRUNED, 3, 32) == [4, 4, 8, 16]
         assert fb.band_lengths(fb.WPT_FULL, 3, 32) == [4] * 8
-        with pytest.raises(BadLength):
+        with pytest.raises(ConfigError, match="length 24 is not a positive multiple"):
             fb.band_lengths(fb.WPT_FULL, 4, 24)
 
 

@@ -13,15 +13,7 @@ import pytest
 import wavemod
 from wavemod import channel, experiments, filterbank, metrics, modem
 from wavemod.configio import ExperimentConfig, parse_float_list
-from wavemod.errors import (
-    BitCountMismatch,
-    ConfigError,
-    LengthMismatch,
-    NumericalError,
-    ZeroBandwidth,
-    ZeroEnergy,
-    ZeroReferenceSymbol,
-)
+from wavemod.errors import ConfigError, NumericalError
 
 QPSK = modem.constellation("qpsk")
 
@@ -54,7 +46,7 @@ class TestPaprDb:
             assert 0.0 <= value <= bound + 1e-9
 
     def test_zero_energy_rejected(self):
-        with pytest.raises(ZeroEnergy):
+        with pytest.raises(ConfigError, match="PAPR undefined"):
             metrics.papr_db(frame_of(np.zeros(16)))
 
 
@@ -232,7 +224,7 @@ class TestTrialSymbols:
             assert got.tobytes() == modem.map_bits(payloads(2, range(1, 4)), spec).tobytes()
 
     def test_bit_count_must_fill_whole_symbols(self):
-        with pytest.raises(BitCountMismatch):
+        with pytest.raises(ConfigError, match="3 bits not divisible by 2"):
             metrics.TrialBits([0], [2], 3).symbols(QPSK, range(0, 2))
 
 
@@ -339,7 +331,7 @@ class TestPaprGuard:
         """Symbols of 0 give a silent frame, as on the exact path."""
         zero = modem.ConstellationSpec("zero", 2, np.zeros(4, dtype=complex))
         for cfg in _systems().values():
-            with pytest.raises(ZeroEnergy):
+            with pytest.raises(ConfigError, match="PAPR undefined"):
                 metrics.papr_ccdf(cfg, zero, 2, [3.0], seed=1)
 
     @pytest.mark.parametrize("thresholds", [
@@ -405,7 +397,7 @@ class TestEvm:
         assert np.array_equal(metrics.evm(r.reshape(3, 3, n), d).ravel(), rows)
 
     def test_zero_reference_rejected(self):
-        with pytest.raises(ZeroReferenceSymbol):
+        with pytest.raises(ConfigError, match="reference symbols must be nonzero"):
             metrics.evm(np.ones(3), np.array([1.0, 0.0, 1.0]))
 
     @pytest.mark.parametrize("received, reference", [
@@ -422,9 +414,9 @@ class TestEvm:
             metrics.evm(received, [1.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ConfigError, match="symbol counts differ"):
             metrics.evm(np.ones(3), np.ones(4))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ConfigError, match="symbol counts differ"):
             metrics.evm(np.ones((2, 3)), np.ones((3, 3)))
 
 
@@ -490,10 +482,15 @@ class TestOccupiedBandwidth:
         )
         with pytest.raises(ConfigError):
             metrics.occupied_bandwidth(est, 1.5)
-        with pytest.raises(ZeroBandwidth):
+        with pytest.raises(NumericalError, match="spectrum carries no power"):
             metrics.occupied_bandwidth(metrics.PsdEstimate(
                 freqs=est.freqs, power_db=np.full(11, np.nan), resolution_bw=0.1,
             ))
+
+    def test_overflowing_power_raises(self):
+        """A finite dB level whose linear power leaves the float range."""
+        with pytest.raises(NumericalError, match="occupied_bandwidth: overflow"):
+            metrics.occupied_bandwidth(metrics.PsdEstimate([0, 1], [1e308, 0], 1.0))
 
 
 class TestSpectralEfficiency:
@@ -501,9 +498,9 @@ class TestSpectralEfficiency:
         assert metrics.spectral_efficiency(2.0, 4.0) == 0.5
 
     def test_zero_bandwidth_rejected(self):
-        with pytest.raises(ZeroBandwidth):
+        with pytest.raises(NumericalError, match="bandwidth must be positive"):
             metrics.spectral_efficiency(1.0, 0.0)
-        with pytest.raises(ZeroBandwidth):
+        with pytest.raises(NumericalError, match="bandwidth must be positive"):
             metrics.spectral_efficiency(1.0, np.nan)
 
     @pytest.mark.parametrize("bit_rate, bandwidth", [
