@@ -35,13 +35,13 @@ SHAPES = st.one_of(
 # finite values near the float limit, where a power, sum or transform
 # overflows, among small ones; default elements rarely draw them
 LIMITS = st.one_of(st.sampled_from([1.7e308, -1.7e308, 1e308, 5e-324]), st.floats(-2, 2))
-REAL_ARRAYS = st.one_of(hnp.arrays(np.float64, SHAPES),
-                        hnp.arrays(np.float64, SHAPES, elements=LIMITS))
+NEAR_LIMIT = hnp.arrays(np.float64, SHAPES, elements=LIMITS)
+REAL_ARRAYS = st.one_of(hnp.arrays(np.float64, SHAPES), NEAR_LIMIT)
 # default elements: nan, infinities, subnormals and the largest floats
 # included; then text and ragged lists, which are not arrays of numbers
 ARRAYS = st.one_of(
     hnp.arrays(DTYPES, SHAPES),
-    hnp.arrays(np.float64, SHAPES, elements=LIMITS),
+    NEAR_LIMIT,
     hnp.arrays(np.complex128, SHAPES, elements=st.builds(complex, LIMITS, LIMITS)),
     st.text(max_size=3),
     st.lists(st.lists(st.integers(0, 1), max_size=3), min_size=2, max_size=3),
