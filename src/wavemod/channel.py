@@ -64,9 +64,10 @@ class AwgnSpec:
     [master, trial]); one generator then draws the noise of the whole
     frame or block, real parts first, exactly as default_rng(seed).  For
     per-row seeds, seed is a :class:`metrics.TrialSeeds` whose grid has
-    the block's rows: row b then draws exactly as awgn on that frame alone
-    with seed=[*prefix, *index_b, *suffix], from a PCG64 seeded from its
-    four seed words.  Every seed is an integer >= 0 and not a bool, or
+    the block's rows, such as one of ``TrialSeeds.blocks``: row b then
+    draws exactly as awgn on that frame alone with
+    seed=[*prefix, *index_b, *suffix], from a PCG64 seeded from its four
+    seed words.  Every seed is an integer >= 0 and not a bool, or
     ConfigError is raised (2-D seed arrays included).
     """
 
@@ -100,14 +101,6 @@ class AwgnSpec:
         return mean_power / ratio
 
 
-def _trial_seeds(seed) -> metrics.TrialSeeds:
-    """AwgnSpec.seed as a TrialSeeds: an int or 1-D seed sequence is a 0-d
-    grid, its one seed."""
-    if isinstance(seed, metrics.TrialSeeds):
-        return seed
-    return metrics.TrialSeeds.grid(seed if np.iterable(seed) else [seed], ())
-
-
 def _draw_noise(seed, shape, scale) -> np.ndarray:
     """scale times unit-variance-per-rail complex Gaussian draws, one scale
     per row; see AwgnSpec.seed.  Each seed's PCG64, inside a Generator,
@@ -116,7 +109,9 @@ def _draw_noise(seed, shape, scale) -> np.ndarray:
     imaginary rails, exactly as standard_normal(rows) + 1j *
     standard_normal(rows) would, through one (2, ...) real buffer whose
     scaled rails are written into the output's parts."""
-    seeds = _trial_seeds(seed)
+    seeds = seed
+    if not isinstance(seed, metrics.TrialSeeds):  # one seed: a 0-d grid
+        seeds = metrics.TrialSeeds.grid(seed if np.iterable(seed) else [seed], ())
     scale = np.asarray(scale)
     noise = np.empty(shape, dtype=complex)
     grid = seeds.words.shape[:-1]

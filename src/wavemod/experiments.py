@@ -12,19 +12,21 @@ Five studies are available:
 Every Monte-Carlo trial draws its randomness from a generator seeded with
 [master_seed, ...indices].  papr-ccdf, ber-fading and evm-sweep push blocks
 of trials through the chain functions, which act on the last axis of
-(..., n) arrays; the block size follows from the bytes of a block (see
-metrics.trial_blocks), and per-trial seeding keeps every CSV byte
-independent of it.  evm-sweep filters each frame of a block once per
-cutoff into a (frames, cutoffs, samples) receive block and demodulates it
-in one call per chain: the db10 analysis gives every row of a block of any
-size the bits of a call on that row alone (see filterbank.analysis_step),
-so each cutoff's round-off-level EVM depends neither on the other cutoffs
-nor on the other frames, and metrics.evm scores all the rows in one call
-with the bits of a call per row.  The EVM totals are summed frame by frame
-in trial order.  Trial bits come from metrics.TrialBits, the raw PCG64
-output of the same seeds; papr-ccdf and evm-sweep take its symbols, and
-only ber-fading, which counts bit errors, takes the bits.  Its noise rows
-come from the same seed hash (metrics.TrialSeeds).
+(..., n) arrays; each block is a sub-grid of one metrics.TrialSeeds grid,
+sized by the bytes of a block (metrics.TrialSeeds.blocks), and per-trial
+seeding keeps every CSV byte independent of the size.  evm-sweep filters
+each frame of a block once per cutoff into a (frames, cutoffs, samples)
+receive block and demodulates it in one call per chain: the db10 analysis
+gives every row of a block of any size the bits of a call on that row
+alone (see filterbank.analysis_step), so each cutoff's round-off-level EVM
+depends neither on the other cutoffs nor on the other frames, and
+metrics.evm scores all the rows in one call with the bits of a call per
+row.  The EVM totals are summed frame by frame in trial order.  A block
+draws its trials' bits from the raw PCG64 output of their seeds;
+papr-ccdf and evm-sweep take them as symbols (TrialSeeds.symbols), and
+only ber-fading, which counts bit errors, takes the bits
+(TrialSeeds.bits).  Its noise rows come from a second grid of the same
+seed hash, cut into the same blocks.
 """
 
 from __future__ import annotations
@@ -159,14 +161,14 @@ def run_evm_bandwidth_sweep(cfg: ExperimentConfig) -> ResultTable:
     )
 
     total = np.zeros((len(cutoffs), 2))
-    payloads = metrics.TrialBits([cfg.seed], [n_frames], n * spec.bits_per_symbol)
+    payloads = metrics.TrialSeeds.grid([cfg.seed], [n_frames])
     # blocks of 3 frames at the defaults (a receive block of 9 cutoffs x 1024
     # samples a frame).  Against one frame per step, on 2 vCPUs, a 64-frame
     # study took 17% less CPU in one interpreter (faster in 59 of 60 pairs),
     # and the evm-rx benchmark ran 1160 against 969 frames/s (10 of 10
     # pairs) for +0.5 MB (+1.3%) peak RSS
-    for trials in metrics.trial_blocks(n_frames, len(cutoffs) * ft.frame_length):
-        symbols = payloads.symbols(spec, trials)
+    for block in payloads.blocks(len(cutoffs) * ft.frame_length):
+        symbols = block.symbols(spec, n * spec.bits_per_symbol)
         for column, chain in enumerate((ft, wt)):
             frame = modem.ofdm_modulate(symbols, chain)
             frame = modem.BasebandFrame(_brickwall(frame.samples, cutoffs),
@@ -227,22 +229,21 @@ def run_ber_fading(cfg: ExperimentConfig) -> ResultTable:
     results = {}
     for s_index, name in enumerate(SYSTEM_ORDER):
         chain = systems[name]
-        payloads = metrics.TrialBits([cfg.seed, s_index],
-                                     [len(ebn0_grid), n_frames], bits_per_frame)
-        # noise row [seed, s, e, trial, 1], hashed once per system
-        noise_seeds = metrics.TrialSeeds.grid([cfg.seed, s_index],
-                                              [len(ebn0_grid), n_frames], [1])
+        # bits row [seed, s, e, trial], noise row [seed, s, e, trial, 1],
+        # each hashed once per system
+        grid = [len(ebn0_grid), n_frames]
+        payloads = metrics.TrialSeeds.grid([cfg.seed, s_index], grid)
+        noise_seeds = metrics.TrialSeeds.grid([cfg.seed, s_index], grid, [1])
         for e_index, noise in enumerate(noise_levels):
             errors = 0
-            for trials in metrics.trial_blocks(n_frames, chain.frame_length):
-                bits = payloads(e_index, trials)
+            for block, noise_block in zip(payloads[e_index].blocks(chain.frame_length),
+                                          noise_seeds[e_index].blocks(chain.frame_length)):
+                bits = block.bits(bits_per_frame)
                 # one name, so each stage's input is freed once it is done,
                 # and the last is freed before the next block is modulated
                 frame = modem.ofdm_modulate(modem.map_bits(bits, spec), chain)
                 frame = channelmod.apply_multipath(frame, profile)
-                frame = channelmod.awgn(frame, dataclasses.replace(
-                    noise, seed=noise_seeds[e_index, trials.start:trials.stop],
-                ))
+                frame = channelmod.awgn(frame, dataclasses.replace(noise, seed=noise_block))
                 estimate = channelmod.equalize(frame, profile, chain)
                 del frame
                 errors += int(np.sum(modem.demap_symbols(estimate, spec) != bits))

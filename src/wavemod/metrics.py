@@ -110,15 +110,6 @@ class CcdfCurve:
 _BLOCK_BYTES = 1 << 19
 
 
-def trial_blocks(count: int, frame_length: int):
-    """Consecutive trial ranges covering [0, count), each small enough that
-    its frames of frame_length complex samples fit the block budget (at
-    least one trial per block)."""
-    size = max(1, _BLOCK_BYTES // (16 * frame_length))
-    return [range(start, min(start + size, count))
-            for start in range(0, count, size)]
-
-
 # numpy's SeedSequence hash (bit_generator.pyx).  NEP 19 keeps it and the
 # PCG64 stream stable across numpy versions, while Generator methods such as
 # integers may change theirs.  The hash runs vectorised over all trials: on
@@ -199,17 +190,30 @@ class _SeedWords(ISeedSequence):
 
 
 class TrialSeeds:
-    """PCG64 seed words of a grid of seeded Monte-Carlo trials.
+    """PCG64 seed words of a grid of seeded Monte-Carlo trials, and the
+    trials' draws.
 
     Trial `index` (a position in the grid) is seeded exactly as
     default_rng([*prefix, *index, *suffix]).  The seeds of all trials are
     hashed at once (each int split into its uint32 words, as SeedSequence
     does) into ``words``, a read-only (*grid, 4) uint64 array;
-    ``seeds[index]`` is the TrialSeeds of a sub-grid.
+    ``seeds[index]`` is the TrialSeeds of a sub-grid, and :meth:`blocks`
+    cuts the last grid axis into sub-grids of a block's size.
     :meth:`bit_generators` seeds each trial's PCG64 from its words, with no
     hash per trial.  A 0-d grid (shape ()) is the one seed
     [*prefix, *suffix].  Every entry of prefix and suffix is an integer
     >= 0 and not a bool, or ConfigError is raised.
+
+    :meth:`bits` gives each trial exactly
+    default_rng(seed).integers(0, 2, n_bits) from raw output of its PCG64:
+    integers(0, 2) is numpy's Lemire draw, which returns bit 31 and then
+    bit 63 of each 64-bit output.  :meth:`symbols` draws the same payloads
+    as constellation symbols, equal to map_bits(bits, spec): each raw word
+    carries the two bits ``((w >> 30) & 2) | (w >> 63)``, first bit high,
+    so a word is one QPSK symbol, two words one QAM16 symbol and one word
+    two BPSK symbols.  It builds the alphabet indices from the words and
+    makes no bit array, and it skips map_bits' check, since the bits come
+    from the generator.
     """
 
     def __init__(self, words: np.ndarray):
@@ -237,74 +241,54 @@ class TrialSeeds:
     def __getitem__(self, index) -> "TrialSeeds":
         return TrialSeeds(self.words[index])
 
+    def blocks(self, frame_length: int) -> list["TrialSeeds"]:
+        """Consecutive sub-grids along the last grid axis, covering it, each
+        small enough that its frames of frame_length complex samples fit
+        _BLOCK_BYTES (at least one position of the last axis per block)."""
+        *lead, count = self.words.shape[:-1]
+        size = max(1, _BLOCK_BYTES // max(1, 16 * frame_length * math.prod(lead)))
+        return [self[..., start:start + size, :] for start in range(0, count, size)]
+
     def bit_generators(self):
         """Each trial's PCG64, seeded from its words, the trials in C order."""
         return (np.random.PCG64(_SeedWords(row)) for row in self.words.reshape(-1, 4))
 
-
-class TrialBits:
-    """0/1 payloads of a grid of seeded Monte-Carlo trials.
-
-    Trial `index` (a position in `shape`) gets exactly
-    default_rng([*prefix, *index]).integers(0, 2, n_bits).  The trials'
-    seeds are one :class:`TrialSeeds` grid, and each trial's bits are raw
-    output of its PCG64, seeded from its seed words: integers(0, 2) is
-    numpy's Lemire draw, which returns bit 31 and then bit 63 of each
-    64-bit output.  Only the seed words are kept, never the bits of all
-    trials.  A prefix entry that is not an integer >= 0 (a bool included)
-    raises ConfigError.
-
-    :meth:`symbols` draws the same payloads as constellation symbols,
-    equal to map_bits(bits, spec): each raw word carries the two bits
-    ``((w >> 30) & 2) | (w >> 63)``, first bit high, so a word is one QPSK
-    symbol, two words one QAM16 symbol and one word two BPSK symbols.  It
-    builds the alphabet indices from the words and makes no bit array, and
-    it skips map_bits' check, since the bits come from the generator.
-    """
-
-    def __init__(self, prefix, shape, n_bits: int):
-        self._seeds = TrialSeeds.grid(prefix, shape)
-        self._n_bits = n_bits
-
-    def _raw(self, index) -> np.ndarray:
-        """Raw PCG64 words (len(trials), ceil(n_bits / 2)) of the trials at
-        index, as in :meth:`__call__`."""
-        *lead, trials = index
-        seeds = self._seeds[tuple(lead) + (slice(trials.start, trials.stop),)]
-        raw = np.empty((len(seeds.words), (self._n_bits + 1) // 2), dtype=np.uint64)
-        for row, bitgen in enumerate(seeds.bit_generators()):
+    def _raw(self, n_bits: int) -> np.ndarray:
+        """Raw PCG64 words (*grid, ceil(n_bits / 2)) of every trial."""
+        grid = self.words.shape[:-1]
+        raw = np.empty((math.prod(grid), (n_bits + 1) // 2), dtype=np.uint64)
+        for row, bitgen in enumerate(self.bit_generators()):
             raw[row] = bitgen.random_raw(raw.shape[1])
-        return raw
+        return raw.reshape(grid + raw.shape[1:])
 
-    def __call__(self, *index) -> np.ndarray:
-        """Bits (len(trials), n_bits) of the trials at index: leading grid
-        positions, then a range of positions along the last axis."""
-        raw = self._raw(index)
+    def bits(self, n_bits: int) -> np.ndarray:
+        """Bits (*grid, n_bits) of every trial, as int64."""
+        raw = self._raw(n_bits)
         bits = np.empty(raw.shape + (2,), dtype=np.uint64)
         np.right_shift(raw, 31, out=bits[..., 0])
         bits[..., 0] &= np.uint64(1)
         np.right_shift(raw, 63, out=bits[..., 1])
-        return bits.reshape(len(raw), -1)[:, :self._n_bits].view(np.int64)
+        return bits.reshape(raw.shape[:-1] + (2 * raw.shape[-1],))[..., :n_bits].view(np.int64)
 
-    def symbols(self, spec: ConstellationSpec, *index) -> np.ndarray:
-        """Symbols (len(trials), n_bits / k) of the trials at index, equal
-        to map_bits(self(*index), spec).  An odd k above 1 splits words
+    def symbols(self, spec: ConstellationSpec, n_bits: int) -> np.ndarray:
+        """Symbols (*grid, n_bits / k) of every trial, equal to
+        map_bits(self.bits(n_bits), spec).  An odd k above 1 splits words
         between symbols, so those symbols are mapped from the bits."""
         k = spec.bits_per_symbol
-        if self._n_bits % k:
-            raise ConfigError(f"{self._n_bits} bits not divisible by {k}")
+        if n_bits % k:
+            raise ConfigError(f"{n_bits} bits not divisible by {k}")
         if k % 2 and k != 1:
-            return map_bits(self(*index), spec)
-        raw = self._raw(index)
+            return map_bits(self.bits(n_bits), spec)
+        raw = self._raw(n_bits)
         pairs = np.right_shift(raw, 30)
         pairs &= np.uint64(2)
         pairs |= np.right_shift(raw, 63)
         pairs = pairs.view(np.int64)
         if k == 1:
             code = np.stack([pairs >> 1, pairs & 1], axis=-1)
-            code = code.reshape(len(raw), -1)[:, :self._n_bits]
+            code = code.reshape(raw.shape[:-1] + (2 * raw.shape[-1],))[..., :n_bits]
         else:
-            pairs = pairs.reshape(len(raw), -1, k // 2)
+            pairs = pairs.reshape(raw.shape[:-1] + (n_bits // k, k // 2))
             code = pairs[..., 0]
             for i in range(1, k // 2):
                 code = (code << 2) | pairs[..., i]
@@ -343,8 +327,9 @@ def papr_ccdf(cfg: OfdmConfig, spec: ConstellationSpec, n_symbols: int,
     """CCDF of per-symbol PAPR over seeded random payloads.
 
     Trial k draws default_rng([seed, k]).integers(0, 2, n_bits) as its bits
-    (through :class:`TrialBits`, which takes them from raw PCG64 output), so
-    the curve does not depend on how the trials are split into blocks.
+    (through :meth:`TrialSeeds.symbols`, which maps them from raw PCG64
+    output), so the curve does not depend on how the trials are split into
+    blocks.
 
     The counts are those of papr_db(ofdm_modulate(...)) > thresholds_db,
     frame by frame, but each block is measured by :func:`_papr_ratios`
@@ -365,10 +350,9 @@ def papr_ccdf(cfg: OfdmConfig, spec: ConstellationSpec, n_symbols: int,
     top_db = 10.0 * math.log10(frame_length) + 1.0
     limits = 10.0 ** (np.clip(thresholds_db, -1.0, top_db) / 10.0)
     counts = np.zeros(len(thresholds_db), dtype=np.int64)
-    payloads = TrialBits([seed], [n_symbols],
-                         cfg.n_subcarriers * spec.bits_per_symbol)
-    for trials in trial_blocks(n_symbols, frame_length):
-        symbols = payloads.symbols(spec, trials)
+    n_bits = cfg.n_subcarriers * spec.bits_per_symbol
+    for block in TrialSeeds.grid([seed], [n_symbols]).blocks(frame_length):
+        symbols = block.symbols(spec, n_bits)
         with numerical_errors("papr_ccdf"):
             ratio = _papr_ratios(symbols, cfg)
         exceeds = ratio[:, None] > limits

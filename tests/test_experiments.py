@@ -248,7 +248,6 @@ class TestEvmExperiment:
         """7 frames: two full blocks of 3 and a partial one at the default
         size.  Each frame's EVMs are added to the totals in trial order."""
         cfg = cfg_with(experiment="evm-sweep", n_trials=7)
-        assert len(metrics.trial_blocks(7, 9 * 1024)) == 3
         blocked = experiments.run_evm_bandwidth_sweep(cfg).to_csv()
         monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1)  # one frame per block
         assert experiments.run_evm_bandwidth_sweep(cfg).to_csv() == blocked

@@ -1,5 +1,6 @@
 """PAPR, CCDF, EVM, bandwidth and spectral-efficiency measurements."""
 
+import math
 import os
 import subprocess
 import sys
@@ -112,7 +113,8 @@ def _reference_bits(rows, n):
 
 
 class TestTrialBits:
-    """The raw-PCG64 bits equal numpy's Generator draw bit for bit."""
+    """TrialSeeds.bits, raw PCG64 output, equals numpy's Generator draw bit
+    for bit."""
 
     def test_random_seeds_and_lengths(self):
         rng = np.random.default_rng(2011)
@@ -120,37 +122,38 @@ class TestTrialBits:
             seed = int(rng.integers(0, 2**32))
             n = int(rng.integers(1, 2100))  # odd lengths included
             start = int(rng.integers(0, 5000))
-            payloads = metrics.TrialBits([seed], [start + 3], n)
+            payloads = metrics.TrialSeeds.grid([seed], [start + 3])
             trials = range(start, start + 3)
-            got = payloads(trials)
+            got = payloads[start:start + 3].bits(n)
             assert got.dtype == np.int64 and got.shape == (3, n)
             assert np.array_equal(got, _reference_bits([[seed, t] for t in trials], n))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1024])
     def test_trial_zero_and_odd_lengths(self, n):
-        payloads = metrics.TrialBits([0], [4], n)
-        assert np.array_equal(payloads(range(0, 1)), _reference_bits([[0, 0]], n))
-        assert np.array_equal(payloads(range(1, 4)),
+        payloads = metrics.TrialSeeds.grid([0], [4])
+        assert np.array_equal(payloads[0:1].bits(n), _reference_bits([[0, 0]], n))
+        assert np.array_equal(payloads[1:4].bits(n),
                               _reference_bits([[0, t] for t in range(1, 4)], n))
 
     def test_ber_entropy_grid(self):
         """[seed, system, point, trial]: a (points, trials) grid per system."""
         seed, system = 20110223, 3
-        payloads = metrics.TrialBits([seed, system], [9, 50], 1024)
+        payloads = metrics.TrialSeeds.grid([seed, system], [9, 50])
         for point, trials in ((0, range(0, 7)), (8, range(49, 50)), (4, range(21, 28))):
             rows = [[seed, system, point, t] for t in trials]
-            assert np.array_equal(payloads(point, trials), _reference_bits(rows, 1024))
+            got = payloads[point, trials.start:trials.stop].bits(1024)
+            assert np.array_equal(got, _reference_bits(rows, 1024))
 
     @pytest.mark.parametrize("prefix", [[2**32], [4800000000], [7, 2**40], [2**128 + 3, 0]])
     def test_wide_seed_words(self, prefix):
         """Seeds of 2**32 or more span several SeedSequence entropy words."""
-        payloads = metrics.TrialBits(prefix, [5], 33)
+        payloads = metrics.TrialSeeds.grid(prefix, [5])
         rows = [prefix + [t] for t in range(1, 5)]
-        assert np.array_equal(payloads(range(1, 5)), _reference_bits(rows, 33))
+        assert np.array_equal(payloads[1:5].bits(33), _reference_bits(rows, 33))
 
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ConfigError):
-            metrics.TrialBits([-1], [2], 8)
+            metrics.TrialSeeds.grid([-1], [2])
         with pytest.raises(ConfigError):
             metrics.papr_ccdf(modem.OfdmConfig(64), QPSK, 2, [6.0], seed=-1)
 
@@ -182,10 +185,36 @@ class TestTrialSeeds:
     def test_empty_grid(self):
         assert metrics.TrialSeeds.grid([1], (0, 3)).words.shape == (0, 3, 4)
 
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (50,), (3, 11), (2, 1)])
+    @pytest.mark.parametrize("budget", [1, 16 * 64, 16 * 64 * 5, 16 * 64 * 7 - 1, 1 << 19])
+    def test_blocks_cover_the_last_axis_in_order(self, monkeypatch, shape, budget):
+        """Blocks of 64-sample frames: every trial once, in order, each
+        block the parent's slice along the last axis, and every block but
+        the last as wide as the budget allows (at least one position)."""
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", budget)
+        seeds = metrics.TrialSeeds.grid([4], shape)
+        *lead, count = shape
+        width = max(1, budget // (16 * 64 * math.prod(lead)))
+        start = 0
+        for block in seeds.blocks(64):
+            size = block.words.shape[-2]
+            assert 1 <= size <= width and (size == width or start + size == count)
+            assert block.words.shape == seeds.words[..., start:start + size, :].shape
+            assert block.words.tobytes() == seeds.words[..., start:start + size, :].tobytes()
+            frames = math.prod(block.words.shape[:-1])
+            assert frames * 16 * 64 <= budget or size == 1
+            start += size
+        assert start == count
+
+    def test_blocks_of_the_default_budget(self):
+        """evm-sweep's 9 cutoffs x 1024 samples a frame give blocks of 3."""
+        blocks = metrics.TrialSeeds.grid([0], [7]).blocks(9 * 1024)
+        assert [len(block.words) for block in blocks] == [3, 3, 1]
+
 
 SEEDED_DRAWS = {
     "AwgnSpec": lambda seed: channel.AwgnSpec(snr_db=10.0, seed=seed),
-    "TrialBits": lambda seed: metrics.TrialBits([seed], [2], 8),
+    "TrialSeeds": lambda seed: metrics.TrialSeeds.grid([seed], [2]).bits(8),
     "papr_ccdf": lambda seed: metrics.papr_ccdf(modem.OfdmConfig(64), QPSK, 2, [6.0],
                                                 seed=seed),
     "ten_path": lambda seed: channel.MultipathSpec.ten_path(seed=seed),
@@ -209,23 +238,25 @@ class TestTrialSymbols:
     def test_equal_map_bits_of_the_bits(self, kind, prefix):
         spec = modem.constellation(kind)
         for n_symbols in (1, 7, 64):  # 7 BPSK symbols use half of a word
-            payloads = metrics.TrialBits(prefix, [6], n_symbols * spec.bits_per_symbol)
-            for trials in (range(0, 1), range(0, 6), range(3, 5)):
-                got = payloads.symbols(spec, trials)
-                want = modem.map_bits(payloads(trials), spec)
+            n_bits = n_symbols * spec.bits_per_symbol
+            payloads = metrics.TrialSeeds.grid(prefix, [6])
+            for trials in (slice(0, 1), slice(0, 6), slice(3, 5)):
+                got = payloads[trials].symbols(spec, n_bits)
+                want = modem.map_bits(payloads[trials].bits(n_bits), spec)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
     def test_grid_positions_and_other_symbol_widths(self):
         eight = modem.ConstellationSpec("8psk", 3, np.exp(2j * np.pi * np.arange(8) / 8))
         for spec in (QPSK, eight):
-            payloads = metrics.TrialBits([2**40, 3], [4, 5], 12 * spec.bits_per_symbol)
-            got = payloads.symbols(spec, 2, range(1, 4))
-            assert got.tobytes() == modem.map_bits(payloads(2, range(1, 4)), spec).tobytes()
+            n_bits = 12 * spec.bits_per_symbol
+            payloads = metrics.TrialSeeds.grid([2**40, 3], [4, 5])
+            got = payloads[2, 1:4].symbols(spec, n_bits)
+            assert got.tobytes() == modem.map_bits(payloads[2, 1:4].bits(n_bits), spec).tobytes()
 
     def test_bit_count_must_fill_whole_symbols(self):
         with pytest.raises(ConfigError, match="3 bits not divisible by 2"):
-            metrics.TrialBits([0], [2], 3).symbols(QPSK, range(0, 2))
+            metrics.TrialSeeds.grid([0], [2]).symbols(QPSK, 3)
 
 
 def _systems(**overrides):
@@ -236,9 +267,9 @@ def _systems(**overrides):
 
 def _exact_paprs(cfg, spec, n, seed):
     """papr_db(ofdm_modulate(...)) of each of papr_ccdf's n frames alone."""
-    bits = metrics.TrialBits([seed], [n], cfg.n_subcarriers * spec.bits_per_symbol)
+    bits = metrics.TrialSeeds.grid([seed], [n]).bits(cfg.n_subcarriers * spec.bits_per_symbol)
     return np.array([metrics.papr_db(modem.ofdm_modulate(modem.map_bits(row, spec), cfg))
-                     for row in bits(range(0, n))])
+                     for row in bits])
 
 
 def _recorded_modulations(monkeypatch):
@@ -281,7 +312,7 @@ class TestPaprGuard:
         expected = np.sum(values[:, None] > thresholds, axis=0)
         assert np.array_equal(curve.exceed_counts, expected)
         assert expected[0] == expected[1] + 1  # frame k lies between them
-        bits = metrics.TrialBits([seed], [n], 128)(range(k, k + 1))
+        bits = metrics.TrialSeeds.grid([seed], [n])[k:k + 1].bits(128)
         assert any(np.array_equal(call, modem.map_bits(bits, QPSK)[0]) for call in calls)
 
     def test_guard_is_quiet_away_from_the_thresholds(self, monkeypatch):
