@@ -24,12 +24,13 @@ into that array, never copies.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _wavelet_coeffs
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError, _numbers, numerical_errors
 
 DWT_PRUNED = "dwt-pruned"
 WPT_FULL = "wpt-full"
@@ -41,8 +42,9 @@ class WaveletFilterPair:
 
     Instances built by :func:`make_filter` satisfy the QMF invariants
     (alternating-sign relation, sum and norm normalizations).  Directly
-    constructed instances are only checked structurally, so perturbed pairs
-    can be built for sensitivity experiments.
+    constructed instances are only checked structurally (finite real taps
+    of one even length), so perturbed pairs can be built for sensitivity
+    experiments.
     """
 
     h: np.ndarray
@@ -50,10 +52,12 @@ class WaveletFilterPair:
     family: str
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        g = np.asarray(self.g, dtype=float)
+        h = _numbers(self.h, "lowpass taps", float)
+        g = _numbers(self.g, "highpass taps", float)
         if h.ndim != 1 or g.ndim != 1:
             raise ConfigError("filter taps must be one-dimensional")
+        if not (np.isfinite(h).all() and np.isfinite(g).all()):
+            raise ConfigError("filter taps must be finite")
         if len(h) != len(g):
             raise ConfigError(
                 f"lowpass has {len(h)} taps, highpass has {len(g)}"
@@ -99,9 +103,12 @@ def make_filter(family: str, order: int | None = None) -> WaveletFilterPair:
     Raises
     ------
     ConfigError
-        If the family name is unknown, the order is out of range, or the
-        name carries an order and one is also passed.
+        If the family name is unknown, the order is not an integer or out
+        of range, or the name carries an order and one is also passed.
     """
+    if order is not None and (not isinstance(order, numbers.Integral)
+                              or isinstance(order, bool)):
+        raise ConfigError(f"wavelet order must be an integer, got {order!r:.60}")
     name = str(family).strip().lower()
     digits = name[len(name.rstrip("0123456789")):]
     if digits:
@@ -308,6 +315,16 @@ def _haar_butterfly(u, v, s, sum_out=None, diff_out=None):
     return np.add(p, q, out=sum_out), np.subtract(p, q, out=q if diff_out is None else diff_out)
 
 
+def _check_finite(what: str, *outputs) -> None:
+    """Raise NumericalError when a step's output holds a NaN or infinite
+    sample.  Overflow raises before this, so such a sample comes from the
+    input.  The outputs are contiguous, so complex ones are scanned as
+    their float view, the faster scan."""
+    for out in outputs:
+        if not np.isfinite(out.view(out.real.dtype)).all():
+            raise NumericalError(f"{what}: a NaN or infinite sample")
+
+
 def analysis_step(x, pair: WaveletFilterPair):
     """One decimating analysis step: a[k] = sum_n h[n-2k] x[n], same for g.
 
@@ -318,20 +335,26 @@ def analysis_step(x, pair: WaveletFilterPair):
     :func:`_haar_butterfly`); a longer pair takes the windowed products of
     windows x[..., 2k + p], whose summation order that function sets.
 
-    Raises ConfigError for an empty or 0-d input or an odd n.
+    Raises ConfigError for an empty or 0-d input, one that is not numbers,
+    or an odd n, and NumericalError for a NaN or infinite sample or an
+    output that overflows.
     """
-    x = np.asarray(x)
+    x = _numbers(x, "signal")
     if x.size == 0 or x.ndim == 0:
         raise ConfigError(f"empty or 0-d input of shape {x.shape}")
     if x.shape[-1] % 2 != 0:
         raise ConfigError(f"signal length {x.shape[-1]} is odd")
-    if pair.length == 2:
-        even, odd = x[..., 0::2], x[..., 1::2]
-        h, g = pair.h, pair.g
-        if _is_haar(pair):
-            return _haar_butterfly(even, odd, h[0])
-        return even * h[0] + odd * h[1], even * g[0] + odd * g[1]
-    a, d = _windowed_products(x, pair.length, 2, 1, (pair.h, pair.g))
+    with numerical_errors("analysis_step"):
+        if pair.length == 2:
+            even, odd = x[..., 0::2], x[..., 1::2]
+            h, g = pair.h, pair.g
+            if _is_haar(pair):
+                a, d = _haar_butterfly(even, odd, h[0])
+            else:
+                a, d = even * h[0] + odd * h[1], even * g[0] + odd * g[1]
+        else:
+            a, d = _windowed_products(x, pair.length, 2, 1, (pair.h, pair.g))
+    _check_finite("analysis_step", a, d)
     return a, d
 
 
@@ -347,11 +370,12 @@ def synthesis_step(a, d, pair: WaveletFilterPair):
     products of a and d (:func:`_haar_butterfly`).  Longer pairs take the
     windowed products of windows of L/2 subband samples, a[..., m - p], once
     for a and once for d, so every frame of a block of any size gives the
-    bits of a call on that frame alone.  Raises ConfigError for empty or 0-d
-    subbands.
+    bits of a call on that frame alone.  Raises ConfigError for empty or
+    0-d subbands, or ones that are not numbers, and NumericalError for a
+    NaN or infinite sample or an output that overflows.
     """
-    a = np.asarray(a)
-    d = np.asarray(d)
+    a = _numbers(a, "approximation")
+    d = _numbers(d, "detail")
     if a.shape != d.shape:
         raise ConfigError(
             f"approximation shape {a.shape} != detail shape {d.shape}"
@@ -360,17 +384,19 @@ def synthesis_step(a, d, pair: WaveletFilterPair):
         raise ConfigError(f"empty or 0-d subbands of shape {a.shape}")
     out = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=np.result_type(a, d, pair.h))
     h, g = pair.h, pair.g
-    if pair.length == 2:
-        if _is_haar(pair):
-            _haar_butterfly(a, d, h[0], out[..., 0::2], out[..., 1::2])
+    with numerical_errors("synthesis_step"):
+        if pair.length == 2:
+            if _is_haar(pair):
+                _haar_butterfly(a, d, h[0], out[..., 0::2], out[..., 1::2])
+            else:
+                out[..., 0::2] = a * h[0] + d * g[0]
+                out[..., 1::2] = a * h[1] + d * g[1]
         else:
-            out[..., 0::2] = a * h[0] + d * g[0]
-            out[..., 1::2] = a * h[1] + d * g[1]
-        return out
-    even_a, odd_a = _windowed_products(a, pair.length // 2, 1, -1, (h[0::2], h[1::2]))
-    even_d, odd_d = _windowed_products(d, pair.length // 2, 1, -1, (g[0::2], g[1::2]))
-    out[..., 0::2] = even_a + even_d
-    out[..., 1::2] = odd_a + odd_d
+            even_a, odd_a = _windowed_products(a, pair.length // 2, 1, -1, (h[0::2], h[1::2]))
+            even_d, odd_d = _windowed_products(d, pair.length // 2, 1, -1, (g[0::2], g[1::2]))
+            out[..., 0::2] = even_a + even_d
+            out[..., 1::2] = odd_a + odd_d
+    _check_finite("synthesis_step", out)
     return out
 
 
@@ -390,8 +416,9 @@ class SubbandSet:
     levels: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs))
-        band_lengths(self.tree_kind, self.levels, self.coeffs.shape[-1])
+        coeffs = _numbers(self.coeffs, "coefficients")
+        object.__setattr__(self, "coeffs", coeffs)
+        band_lengths(self.tree_kind, self.levels, coeffs.shape[-1] if coeffs.ndim else 0)
 
     @property
     def bands(self) -> list[np.ndarray]:
@@ -409,14 +436,15 @@ def band_lengths(tree_kind: str, levels: int, n: int) -> list[int]:
     """Per-band coefficient counts for a length-n input.
 
     The one check of a subband layout: raises ConfigError for an unknown
-    tree kind, for levels < 1, and unless n is a positive multiple of
-    2**levels.
+    tree kind, for levels that are not an integer >= 1, and unless n is a
+    positive multiple of 2**levels.
     """
     if tree_kind not in (DWT_PRUNED, WPT_FULL):
-        raise ConfigError(f"unknown tree kind {tree_kind!r}")
-    if levels < 1:
-        raise ConfigError("levels must be >= 1")
-    if n == 0 or n % (2**levels) != 0:
+        raise ConfigError(f"unknown tree kind {tree_kind!r:.60}")
+    if not isinstance(levels, numbers.Integral) or isinstance(levels, bool) or levels < 1:
+        raise ConfigError(f"levels must be an integer >= 1, got {levels!r:.60}")
+    # n < 2**levels (n = 0 included) fails before a huge 2**levels is built
+    if levels >= n.bit_length() or n % (2**levels) != 0:
         raise ConfigError(f"length {n} is not a positive multiple of 2**{levels}")
     if tree_kind == DWT_PRUNED:
         # [a_J, d_J, d_{J-1}, ..., d_1]
@@ -429,7 +457,7 @@ def dwt(x, pair: WaveletFilterPair, levels: int) -> SubbandSet:
 
     Bands are ordered coarsest first: [a_J, d_J, d_{J-1}, ..., d_1].
     """
-    x = np.asarray(x)
+    x = _numbers(x, "signal")
     band_lengths(DWT_PRUNED, levels, x.shape[-1] if x.ndim else 0)
     details = []
     approx = x[..., None, :]  # one band per frame, the path of a row call
@@ -458,7 +486,7 @@ def wpt(x, pair: WaveletFilterPair, levels: int) -> SubbandSet:
     length, so each level is one batched analysis call.  Each level's input
     and outputs are freed as soon as the next stack no longer needs them.
     """
-    x = np.asarray(x)
+    x = _numbers(x, "signal")
     band_lengths(WPT_FULL, levels, x.shape[-1] if x.ndim else 0)
     shape = x.shape
     stack = x[..., None, :]
@@ -496,22 +524,27 @@ def verify_pr(pair: WaveletFilterPair, grid_size: int = 1024):
         G0(z) G1(z) + H0(z) H1(z) = 2 z^{-(L-1)}   (flat amplitude)
 
     Returns (alias_residual, amplitude_residual): the max absolute
-    deviations over grid_size points.
+    deviations over grid_size points, an integer >= 2L.  Taps whose
+    responses overflow raise NumericalError.
     """
     L = pair.length
-    if grid_size < 2 * L:
-        raise ConfigError(f"grid_size must be >= 2L = {2 * L}")
+    if (not isinstance(grid_size, numbers.Integral) or isinstance(grid_size, bool)
+            or grid_size < 2 * L):
+        raise ConfigError(
+            f"grid_size must be an integer >= 2L = {2 * L}, got {grid_size!r:.60}"
+        )
     omega = 2.0 * np.pi * np.arange(grid_size) / grid_size
     n = np.arange(L)
-    basis = np.exp(-1j * np.outer(omega, n))          # e^{-i w n}
-    basis_neg = basis * ((-1.0) ** n)                 # evaluated at -z
-    h0 = basis @ pair.h
-    g0 = basis @ pair.g
-    h0_neg = basis_neg @ pair.h
-    g0_neg = basis_neg @ pair.g
-    h1 = basis @ pair.h[::-1]
-    g1 = basis @ pair.g[::-1]
-    alias = np.max(np.abs(g0_neg * g1 + h0_neg * h1))
-    target = 2.0 * np.exp(-1j * omega * (L - 1))
-    amplitude = np.max(np.abs(g0 * g1 + h0 * h1 - target))
+    with numerical_errors("verify_pr"):
+        basis = np.exp(-1j * np.outer(omega, n))          # e^{-i w n}
+        basis_neg = basis * ((-1.0) ** n)                 # evaluated at -z
+        h0 = basis @ pair.h
+        g0 = basis @ pair.g
+        h0_neg = basis_neg @ pair.h
+        g0_neg = basis_neg @ pair.g
+        h1 = basis @ pair.h[::-1]
+        g1 = basis @ pair.g[::-1]
+        alias = np.max(np.abs(g0_neg * g1 + h0_neg * h1))
+        target = 2.0 * np.exp(-1j * omega * (L - 1))
+        amplitude = np.max(np.abs(g0 * g1 + h0 * h1 - target))
     return float(alias), float(amplitude)

@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ConfigError, NumericalError, numerical_errors
+from .errors import ConfigError, NumericalError, _numbers, numerical_errors
 from .modem import (
     BasebandFrame,
     ConstellationSpec,
     OfdmConfig,
-    _numbers,
     _transmit_body,
     map_bits,
     ofdm_modulate,
@@ -394,7 +393,9 @@ def evm(received, reference):
 
 @dataclass
 class PsdEstimate:
-    """Two-sided power spectral density on an ascending frequency grid."""
+    """Two-sided power spectral density on a strictly ascending frequency
+    grid; resolution_bw, the width of a lone bin, is a positive finite
+    number.  A grid or width that breaks this raises ConfigError."""
 
     freqs: np.ndarray
     power_db: np.ndarray
@@ -405,6 +406,13 @@ class PsdEstimate:
         self.power_db = _numbers(self.power_db, "powers", float)
         if self.freqs.ndim != 1 or self.freqs.shape != self.power_db.shape:
             raise ConfigError("frequency and power arrays must be 1-D of one length")
+        if not np.all(self.freqs[1:] > self.freqs[:-1]):
+            raise ConfigError("frequencies must be strictly ascending")
+        bw = _numbers(self.resolution_bw, "resolution bandwidth", float)
+        if bw.ndim or not 0.0 < bw < math.inf:
+            raise ConfigError(f"resolution bandwidth must be a positive finite number, "
+                              f"got {self.resolution_bw!r:.60}")
+        self.resolution_bw = float(bw)
 
     def power_linear(self) -> np.ndarray:
         return 10.0 ** (self.power_db / 10.0)

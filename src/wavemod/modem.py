@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, numerical_errors
+from .errors import ConfigError, _numbers, numerical_errors
 from .filterbank import (
     DWT_PRUNED,
     WPT_FULL,
@@ -109,15 +109,6 @@ def constellation(kind: str) -> ConstellationSpec:
         return _CONSTELLATIONS[kind.strip().lower()]
     except KeyError:
         raise ConfigError(f"unknown constellation {kind!r}") from None
-
-
-def _numbers(values, what: str, dtype=None) -> np.ndarray:
-    """values as an array; ConfigError when they are not numbers of one
-    rectangular shape."""
-    try:
-        return np.asarray(values, dtype=dtype)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be an array of numbers") from None
 
 
 def map_bits(bits, spec: ConstellationSpec) -> np.ndarray:

@@ -2,6 +2,8 @@
 finite values or raises a WavemodError (never another exception, and never a
 numpy warning, which the suite turns into an error)."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,19 @@ PROFILES = st.sampled_from([
     channel.MultipathSpec.ten_path(seed=3),
     channel.MultipathSpec([0, 1], [1.0, -1.0]),
 ])
+# shipped pairs (the two-tap Haar butterfly, windowed products), a two-tap
+# rotation off the Haar path, and pairs of finite taps near the float
+# limit, whose transforms overflow
+SHIPPED_PAIRS = [HAAR] + [filterbank.make_filter(name) for name in ("db2", "db4")]
+LIMIT_TAPS = st.sampled_from([2, 4]).flatmap(
+    lambda n: st.tuples(*[hnp.arrays(np.float64, n, elements=LIMITS)] * 2))
+PAIRS = st.one_of(
+    st.sampled_from(SHIPPED_PAIRS + [filterbank.WaveletFilterPair([0.6, 0.8], [0.8, -0.6], "rot")]),
+    LIMIT_TAPS.map(lambda taps: filterbank.WaveletFilterPair(*taps, "near-limit")),
+)
+# huge levels too: the layout check must fail without building 2**levels
+LEVELS = st.one_of(st.integers(-1, 4), st.integers(2**62, 2**70), FLOATS, st.booleans(),
+                   st.text(max_size=2))
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
 
@@ -74,6 +89,10 @@ def _values(result):
         return result.samples
     if isinstance(result, metrics.CcdfCurve):
         return result.probabilities
+    if isinstance(result, filterbank.SubbandSet):
+        return result.coeffs
+    if isinstance(result, filterbank.WaveletFilterPair):
+        return np.concatenate([result.h, result.g])
     return result
 
 
@@ -177,5 +196,69 @@ def test_spectral_efficiency(bit_rate, bandwidth):
 @given(freqs=REAL_ARRAYS, power_db=REAL_ARRAYS, resolution_bw=st.one_of(LIMITS, FLOATS),
        containment=st.one_of(st.floats(0.5, 0.999), FLOATS))
 def test_occupied_bandwidth(freqs, power_db, resolution_bw, containment):
-    returns_finite_or_raises(lambda: metrics.occupied_bandwidth(
-        metrics.PsdEstimate(freqs, power_db, resolution_bw), containment))
+    try:
+        width = metrics.occupied_bandwidth(
+            metrics.PsdEstimate(freqs, power_db, resolution_bw), containment)
+    except WavemodError:
+        return
+    assert math.isfinite(width) and width > 0.0
+
+
+@FUZZ
+@given(family=st.one_of(st.sampled_from(["haar", "db4", " Sym5", "coif3", "db", "db21",
+                                         "haar2", "meyer"]), st.text(max_size=4)),
+       order=st.one_of(st.none(), COUNTS, st.text(max_size=2),
+                       st.lists(st.integers(0, 3), max_size=2)))
+def test_make_filter(family, order):
+    returns_finite_or_raises(filterbank.make_filter, family, order)
+
+
+@FUZZ
+@given(h=ARRAYS, g=ARRAYS)
+def test_wavelet_filter_pair(h, g):
+    returns_finite_or_raises(filterbank.WaveletFilterPair, h, g, "fuzz")
+
+
+@FUZZ
+@given(x=ARRAYS, pair=PAIRS)
+def test_analysis_step(x, pair):
+    returns_finite_or_raises(filterbank.analysis_step, x, pair)
+
+
+@FUZZ
+@given(a=ARRAYS, d=ARRAYS, pair=PAIRS)
+def test_synthesis_step(a, d, pair):
+    returns_finite_or_raises(filterbank.synthesis_step, a, d, pair)
+
+
+@FUZZ
+@given(x=ARRAYS, pair=PAIRS, levels=LEVELS)
+def test_dwt(x, pair, levels):
+    returns_finite_or_raises(filterbank.dwt, x, pair, levels)
+
+
+@FUZZ
+@given(x=ARRAYS, pair=PAIRS, levels=LEVELS)
+def test_wpt(x, pair, levels):
+    returns_finite_or_raises(filterbank.wpt, x, pair, levels)
+
+
+@FUZZ
+@given(coeffs=ARRAYS, pair=PAIRS, levels=LEVELS)
+def test_idwt(coeffs, pair, levels):
+    returns_finite_or_raises(lambda: filterbank.idwt(
+        filterbank.SubbandSet(coeffs, filterbank.DWT_PRUNED, levels), pair))
+
+
+@FUZZ
+@given(coeffs=ARRAYS, pair=PAIRS, levels=LEVELS)
+def test_iwpt(coeffs, pair, levels):
+    returns_finite_or_raises(lambda: filterbank.iwpt(
+        filterbank.SubbandSet(coeffs, filterbank.WPT_FULL, levels), pair))
+
+
+@FUZZ
+@given(pair=PAIRS, grid_size=st.one_of(st.integers(-2, 64), FLOATS, st.booleans(),
+                                       st.text(max_size=2)))
+def test_verify_pr(pair, grid_size):
+    returns_finite_or_raises(filterbank.verify_pr, pair, grid_size)

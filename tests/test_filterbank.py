@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from wavemod import filterbank as fb
-from wavemod.errors import ConfigError
+from wavemod.errors import ConfigError, NumericalError
 
 ALL_FAMILIES = fb.list_families()
 SQRT2 = np.sqrt(2.0)
@@ -606,3 +606,41 @@ class TestVerifyPr:
     def test_grid_size_precondition(self):
         with pytest.raises(ConfigError):
             fb.verify_pr(fb.make_filter("db10"), grid_size=10)
+
+
+HAAR = fb.make_filter("haar")
+BAD_CALLS = {
+    "wpt-text-levels": (lambda: fb.wpt(np.ones(8), HAAR, "a"), ConfigError),
+    "wpt-huge-levels": (lambda: fb.wpt(np.ones(8), HAAR, 2**70), ConfigError),
+    "dwt-bool-levels": (lambda: fb.dwt(np.ones(8), HAAR, True), ConfigError),
+    "verify-text-grid": (lambda: fb.verify_pr(HAAR, "x"), ConfigError),
+    "verify-float-grid": (lambda: fb.verify_pr(HAAR, 16.0), ConfigError),
+    "analysis-text": (lambda: fb.analysis_step(np.array(["ab", "cd"]), HAAR), ConfigError),
+    "synthesis-text": (lambda: fb.synthesis_step(["a"], ["b"], HAAR), ConfigError),
+    "wpt-text": (lambda: fb.wpt(["a", "b"], HAAR, 1), ConfigError),
+    "analysis-ragged": (lambda: fb.analysis_step([[1, 2], [3]], HAAR), ConfigError),
+    "pair-text-taps": (lambda: fb.WaveletFilterPair(["a", "b"], [1, 2], "x"), ConfigError),
+    "pair-complex-taps": (lambda: fb.WaveletFilterPair([1j, 1], [1, 2], "x"), ConfigError),
+    "pair-nan-tap": (lambda: fb.WaveletFilterPair([np.nan, 1], [1, 2], "x"), ConfigError),
+    "make-filter-list-order": (lambda: fb.make_filter("db", [4]), ConfigError),
+    "subbands-0d": (lambda: fb.SubbandSet(1.0, fb.WPT_FULL, 1), ConfigError),
+    "wpt-nan-sample": (lambda: fb.wpt([np.nan, 1.0], HAAR, 1), NumericalError),
+    "iwpt-inf-sample": (lambda: fb.iwpt(fb.SubbandSet([np.inf, 1.0], fb.WPT_FULL, 1),
+                                        fb.make_filter("db2")), NumericalError),
+    "wpt-overflow": (lambda: fb.wpt(np.full(16, 1e308), fb.make_filter("db4"), 2),
+                     NumericalError),
+    "haar-overflow": (lambda: fb.analysis_step(np.full(4, 1.7e308), HAAR), NumericalError),
+    "idwt-overflow": (lambda: fb.idwt(fb.SubbandSet(np.full(8, 1.7e308), fb.DWT_PRUNED, 2),
+                                      HAAR), NumericalError),
+    "verify-overflow": (lambda: fb.verify_pr(fb.WaveletFilterPair(
+        [1e308, 1e308], [1e308, -1e308], "x")), NumericalError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CALLS))
+def test_bad_input_raises_a_library_error(name):
+    """Each of these raised a TypeError, ValueError or numpy's
+    UFuncTypeError, was accepted, or returned inf with a RuntimeWarning."""
+    call, error = BAD_CALLS[name]
+    with pytest.raises(error):
+        call()

@@ -523,6 +523,22 @@ class TestOccupiedBandwidth:
         with pytest.raises(NumericalError, match="occupied_bandwidth: overflow"):
             metrics.occupied_bandwidth(metrics.PsdEstimate([0, 1], [1e308, 0], 1.0))
 
+    @pytest.mark.parametrize("freqs, resolution_bw, match", [
+        ([1, 0], 1.0, "strictly ascending"),  # a width of 0.0 unchecked
+        ([0, 2, 1, 3], 1.0, "strictly ascending"),  # 5.0 unchecked
+        ([0, 0], 1.0, "strictly ascending"),
+        ([0, np.nan], 1.0, "strictly ascending"),
+        ([0.0], -1.0, "resolution bandwidth"),  # -1.0 unchecked
+        ([0.0], 0.0, "resolution bandwidth"),
+        ([0.0], np.nan, "resolution bandwidth"),
+        ([0.0, 1.0], np.inf, "resolution bandwidth"),
+        ([0.0], [1.0], "resolution bandwidth"),
+        ([0.0], "1", "resolution bandwidth"),
+    ])
+    def test_grid_it_cannot_measure_is_rejected(self, freqs, resolution_bw, match):
+        with pytest.raises(ConfigError, match=match):
+            metrics.PsdEstimate(freqs, np.zeros(len(freqs)), resolution_bw)
+
 
 class TestSpectralEfficiency:
     def test_ratio(self):
