@@ -74,8 +74,8 @@ class WaveletFilterPair:
     @classmethod
     def from_lowpass(cls, h, family: str = "custom") -> "WaveletFilterPair":
         """Build the pair from a lowpass filter via the alternating-sign rule."""
-        h = np.asarray(h, dtype=float)
-        g = ((-1.0) ** np.arange(len(h))) * h[::-1]
+        h = np.atleast_1d(_numbers(h, "lowpass taps", float))
+        g = ((-1.0) ** np.arange(h.shape[-1])) * h[..., ::-1]
         return cls(h=h, g=g, family=family)
 
 
@@ -315,14 +315,13 @@ def _haar_butterfly(u, v, s, sum_out=None, diff_out=None):
     return np.add(p, q, out=sum_out), np.subtract(p, q, out=q if diff_out is None else diff_out)
 
 
-def _check_finite(what: str, *outputs) -> None:
+def _check_finite(what: str, out) -> None:
     """Raise NumericalError when a step's output holds a NaN or infinite
     sample.  Overflow raises before this, so such a sample comes from the
-    input.  The outputs are contiguous, so complex ones are scanned as
-    their float view, the faster scan."""
-    for out in outputs:
-        if not np.isfinite(out.view(out.real.dtype)).all():
-            raise NumericalError(f"{what}: a NaN or infinite sample")
+    input.  The output is contiguous, so a complex one is scanned as its
+    float view, the faster scan."""
+    if not np.isfinite(out.view(out.real.dtype)).all():
+        raise NumericalError(f"{what}: a NaN or infinite sample")
 
 
 def analysis_step(x, pair: WaveletFilterPair):
@@ -354,7 +353,9 @@ def analysis_step(x, pair: WaveletFilterPair):
                 a, d = even * h[0] + odd * h[1], even * g[0] + odd * g[1]
         else:
             a, d = _windowed_products(x, pair.length, 2, 1, (pair.h, pair.g))
-    _check_finite("analysis_step", a, d)
+    # a NaN or infinite sample of x reaches a and d at the same positions,
+    # whatever the taps (NaN * 0 and inf * 0 are NaN), so a alone is scanned
+    _check_finite("analysis_step", a)
     return a, d
 
 
@@ -440,11 +441,11 @@ def band_lengths(tree_kind: str, levels: int, n: int) -> list[int]:
     positive multiple of 2**levels.
     """
     if tree_kind not in (DWT_PRUNED, WPT_FULL):
-        raise ConfigError(f"unknown tree kind {tree_kind!r:.60}")
+        raise ConfigError(f"unknown tree kind {tree_kind!r}")
     if not isinstance(levels, numbers.Integral) or isinstance(levels, bool) or levels < 1:
         raise ConfigError(f"levels must be an integer >= 1, got {levels!r:.60}")
     # n < 2**levels (n = 0 included) fails before a huge 2**levels is built
-    if levels >= n.bit_length() or n % (2**levels) != 0:
+    if levels >= int(n).bit_length() or n % (2**levels) != 0:
         raise ConfigError(f"length {n} is not a positive multiple of 2**{levels}")
     if tree_kind == DWT_PRUNED:
         # [a_J, d_J, d_{J-1}, ..., d_1]

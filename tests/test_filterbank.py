@@ -623,6 +623,9 @@ BAD_CALLS = {
     "pair-complex-taps": (lambda: fb.WaveletFilterPair([1j, 1], [1, 2], "x"), ConfigError),
     "pair-nan-tap": (lambda: fb.WaveletFilterPair([np.nan, 1], [1, 2], "x"), ConfigError),
     "make-filter-list-order": (lambda: fb.make_filter("db", [4]), ConfigError),
+    "from-lowpass-text": (lambda: fb.WaveletFilterPair.from_lowpass("ab"), ConfigError),
+    "from-lowpass-2d": (lambda: fb.WaveletFilterPair.from_lowpass(np.ones((2, 3))), ConfigError),
+    "from-lowpass-0d": (lambda: fb.WaveletFilterPair.from_lowpass(1.0), ConfigError),
     "subbands-0d": (lambda: fb.SubbandSet(1.0, fb.WPT_FULL, 1), ConfigError),
     "wpt-nan-sample": (lambda: fb.wpt([np.nan, 1.0], HAAR, 1), NumericalError),
     "iwpt-inf-sample": (lambda: fb.iwpt(fb.SubbandSet([np.inf, 1.0], fb.WPT_FULL, 1),
