@@ -39,29 +39,21 @@ from .modem import (
     constellation,
     demap_symbols,
     map_bits,
-    matched_filter_streams,
     ofdm_demodulate,
     ofdm_modulate,
-    pulse_shape_dyadic,
     rrc_bin_weights,
-    wsk_demodulate,
-    wsk_modulate,
 )
 from .waveletdesign import (
     ModifiedGaussianParams,
     SampledWaveform,
-    ScalingFilter,
     SpectrumSamples,
-    derive_scaling_filter,
     dyadic_pulse_set,
     lattice_orthonormality_residual,
     mod_gauss_amplitude,
     mod_gauss_spectrum,
-    mod_gauss_time,
     mother_wavelet,
     raised_cosine_pulse,
     root_raised_cosine_pulse,
-    scaling_function,
     sidelobe_level,
 )
 
@@ -74,15 +66,12 @@ __all__ = [
     "CcdfCurve", "PsdEstimate", "evm", "occupied_bandwidth", "papr_ccdf",
     "papr_db", "spectral_efficiency",
     "BasebandFrame", "ConstellationSpec", "OfdmConfig", "constellation",
-    "demap_symbols", "map_bits", "matched_filter_streams", "ofdm_demodulate",
-    "ofdm_modulate", "pulse_shape_dyadic", "rrc_bin_weights", "wsk_demodulate",
-    "wsk_modulate",
-    "ModifiedGaussianParams", "SampledWaveform", "ScalingFilter",
-    "SpectrumSamples", "derive_scaling_filter", "dyadic_pulse_set",
-    "lattice_orthonormality_residual", "mod_gauss_amplitude",
-    "mod_gauss_spectrum", "mod_gauss_time", "mother_wavelet",
-    "raised_cosine_pulse", "root_raised_cosine_pulse", "scaling_function",
-    "sidelobe_level",
+    "demap_symbols", "map_bits", "ofdm_demodulate", "ofdm_modulate",
+    "rrc_bin_weights",
+    "ModifiedGaussianParams", "SampledWaveform", "SpectrumSamples",
+    "dyadic_pulse_set", "lattice_orthonormality_residual",
+    "mod_gauss_amplitude", "mod_gauss_spectrum", "mother_wavelet",
+    "raised_cosine_pulse", "root_raised_cosine_pulse", "sidelobe_level",
 ]
 
 __version__ = "0.1.0"

@@ -514,6 +514,11 @@ def iwpt(subbands: SubbandSet, pair: WaveletFilterPair):
     return stack[..., 0, :]
 
 
+# Largest grid_size * L verify_pr evaluates: each of its two complex bases
+# then holds 2**22 entries, 64 MiB.
+_VERIFY_PR_MAX_ENTRIES = 2**22
+
+
 def verify_pr(pair: WaveletFilterPair, grid_size: int = 1024):
     """Evaluate the two-channel perfect-reconstruction conditions.
 
@@ -525,14 +530,16 @@ def verify_pr(pair: WaveletFilterPair, grid_size: int = 1024):
         G0(z) G1(z) + H0(z) H1(z) = 2 z^{-(L-1)}   (flat amplitude)
 
     Returns (alias_residual, amplitude_residual): the max absolute
-    deviations over grid_size points, an integer >= 2L.  Taps whose
-    responses overflow raise NumericalError.
+    deviations over grid_size points, an integer from 2L to 2**22 // L
+    (grid_size * L bounds the two grid_size x L bases it builds).  Taps
+    whose responses overflow raise NumericalError.
     """
     L = pair.length
     if (not isinstance(grid_size, numbers.Integral) or isinstance(grid_size, bool)
-            or grid_size < 2 * L):
+            or not 2 * L <= grid_size <= _VERIFY_PR_MAX_ENTRIES // L):
         raise ConfigError(
-            f"grid_size must be an integer >= 2L = {2 * L}, got {grid_size!r:.60}"
+            f"grid_size must be an integer from 2L = {2 * L} to 2**22 // L = "
+            f"{_VERIFY_PR_MAX_ENTRIES // L}, got {grid_size!r:.60}"
         )
     omega = 2.0 * np.pi * np.arange(grid_size) / grid_size
     n = np.arange(L)

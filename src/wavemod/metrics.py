@@ -12,12 +12,12 @@ figures.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, NumericalError, _numbers, numerical_errors
 from .modem import (
@@ -116,7 +116,7 @@ _BLOCK_BYTES = 1 << 19
 # SeedSequence(row).generate_state per trial ran 20% fewer frames/s (6505 ->
 # 5194 median, slower in all 10), and a new PCG64(row) per trial, which runs
 # that hash for each row, 10% fewer (5861, slower in 9).  Each trial's PCG64
-# is seeded from its hashed words instead (:class:`_SeedWords`).
+# is seeded from its hashed words instead (:func:`_seed_words_class`).
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
@@ -176,16 +176,25 @@ def _entropy_words(seed) -> list[int]:
     return words
 
 
-class _SeedWords(ISeedSequence):
-    """One trial's four hashed seed words, handed to PCG64 as its seed
-    sequence: PCG64 asks for generate_state(4, uint64) and seeds itself
-    from the words as from SeedSequence's."""
+@functools.cache
+def _seed_words_class():
+    """The seed-sequence class of :meth:`TrialSeeds.bit_generators`, built
+    on its first call, so that ``import wavemod`` leaves numpy.random
+    unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class _SeedWords(ISeedSequence):
+        """One trial's four hashed seed words, handed to PCG64 as its seed
+        sequence: PCG64 asks for generate_state(4, uint64) and seeds itself
+        from the words as from SeedSequence's."""
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return _SeedWords
 
 
 class TrialSeeds:
@@ -250,7 +259,8 @@ class TrialSeeds:
 
     def bit_generators(self):
         """Each trial's PCG64, seeded from its words, the trials in C order."""
-        return (np.random.PCG64(_SeedWords(row)) for row in self.words.reshape(-1, 4))
+        seed_words = _seed_words_class()
+        return (np.random.PCG64(seed_words(row)) for row in self.words.reshape(-1, 4))
 
     def _raw(self, n_bits: int) -> np.ndarray:
         """Raw PCG64 words (*grid, ceil(n_bits / 2)) of every trial."""

@@ -16,10 +16,6 @@ modulate/demodulate roundtrips are exact:
   transform (2**J = N subcarriers in natural tree order), oversampling by
   polyphase interpolation with an os-th-band windowed sinc (default) or by
   spectral zero padding; no cyclic prefix (the packet waveforms overlap).
-* Wavelet shift keying: antipodal mother-wavelet pulses with matched-filter
-  detection.
-* Dyadic pulse shaping: parallel streams on a mother wavelet and its
-  compressed dyadics, stream m signalling at rate 2**m per symbol period.
 
 Every oversampler is the n DFT bins broadcast over the m = n * os grid
 (bin k carries subcarrier k mod n) times one bin-weight vector: 1 on the
@@ -52,7 +48,6 @@ from .filterbank import (
     make_filter,
     wpt,
 )
-from .waveletdesign import SampledWaveform
 
 FOURIER = "fourier"
 WAVELET_PACKET = "wavelet-packet"
@@ -545,99 +540,3 @@ def ofdm_demodulate(frame: BasebandFrame, cfg: OfdmConfig) -> np.ndarray:
         if _precoder_cancels(cfg):
             return _decimate_body(body, cfg)
         return _unprecode(_analyze_body(body, cfg), cfg)
-
-
-# --- wavelet shift keying --------------------------------------------------------
-
-def _check_pulse(mother: SampledWaveform):
-    if abs(mother.energy() - 1.0) > 1e-6:
-        raise ConfigError("mother pulse must have unit energy")
-
-
-def wsk_modulate(bits, mother: SampledWaveform, symbol_period: float) -> BasebandFrame:
-    """Antipodal keying of a mother-wavelet pulse: bit b -> (2b-1) psi."""
-    _check_pulse(mother)
-    bits = np.asarray(bits).astype(np.int64)
-    hop = symbol_period / mother.dt
-    if abs(hop - round(hop)) > 1e-9:
-        raise ConfigError("symbol period must be an integer number of samples")
-    hop = int(round(hop))
-    pulse = np.asarray(mother.samples)
-    if hop < len(pulse):
-        raise ConfigError(
-            f"symbol period {hop} samples shorter than pulse ({len(pulse)})"
-        )
-    out = np.zeros((len(bits) - 1) * hop + len(pulse), dtype=complex)
-    signs = 2.0 * bits - 1.0
-    for k, s in enumerate(signs):
-        out[k * hop:k * hop + len(pulse)] += s * pulse
-    return BasebandFrame(samples=out, sample_rate=1.0 / mother.dt)
-
-
-def wsk_demodulate(frame: BasebandFrame, mother: SampledWaveform,
-                   symbol_period: float) -> np.ndarray:
-    """Matched-filter correlation and sign decision."""
-    _check_pulse(mother)
-    hop = int(round(symbol_period / mother.dt))
-    pulse = np.conj(np.asarray(mother.samples))
-    samples = np.asarray(frame.samples)
-    n_bits = (len(samples) - len(pulse)) // hop + 1
-    bits = np.empty(n_bits, dtype=np.int64)
-    for k in range(n_bits):
-        corr = np.sum(samples[k * hop:k * hop + len(pulse)] * pulse)
-        bits[k] = 1 if corr.real > 0 else 0
-    return bits
-
-
-# --- dyadic pulse shaping --------------------------------------------------------
-
-def pulse_shape_dyadic(symbol_streams, pulses, symbol_period: float) -> BasebandFrame:
-    """Superpose streams shaped by a mother wavelet and its dyadics.
-
-    Stream m rides pulse m (the m-th dyadic compression) and signals at
-    rate 2**m per symbol period, the natural rate of the compressed pulse;
-    the shifts then tile the period and stay orthogonal across streams.
-    Stream m must therefore carry 2**m symbols per period.
-    """
-    if len(symbol_streams) != len(pulses):
-        raise ConfigError(
-            f"{len(symbol_streams)} streams vs {len(pulses)} pulses"
-        )
-    dt = pulses[0].dt
-    if any(abs(p.dt - dt) > 1e-12 for p in pulses):
-        raise ConfigError("pulses must share one sample spacing")
-    n_periods = len(symbol_streams[0])
-    total = int(round(n_periods * symbol_period / dt)) + len(pulses[0].samples)
-    out = np.zeros(total, dtype=complex)
-    for m, (stream, pulse) in enumerate(zip(symbol_streams, pulses)):
-        stream = np.asarray(stream, dtype=complex)
-        if len(stream) != n_periods * 2**m:
-            raise ConfigError(
-                f"stream {m} must carry {n_periods * 2**m} symbols "
-                f"({len(stream)} given)"
-            )
-        hop = symbol_period / 2**m / dt
-        if abs(hop - round(hop)) > 1e-9:
-            raise ConfigError("symbol period must align with the sample grid")
-        hop = int(round(hop))
-        taps = np.asarray(pulse.samples)
-        for k, s in enumerate(stream):
-            out[k * hop:k * hop + len(taps)] += s * taps
-    return BasebandFrame(samples=out, sample_rate=1.0 / dt)
-
-
-def matched_filter_streams(frame: BasebandFrame, pulses, symbol_period: float,
-                           n_periods: int) -> list:
-    """Per-stream matched-filter recovery of :func:`pulse_shape_dyadic`."""
-    dt = pulses[0].dt
-    samples = np.asarray(frame.samples)
-    streams = []
-    for m, pulse in enumerate(pulses):
-        hop = int(round(symbol_period / 2**m / dt))
-        taps = np.conj(np.asarray(pulse.samples))
-        count = n_periods * 2**m
-        est = np.empty(count, dtype=complex)
-        for k in range(count):
-            est[k] = np.sum(samples[k * hop:k * hop + len(taps)] * taps) * dt
-        streams.append(est)
-    return streams

@@ -5,13 +5,11 @@ Two construction routes live here:
 * An orthonormalized Gaussian scaling function defined directly in the
   frequency domain.  A Gaussian bump is divided by the square root of its
   own lattice power sum, which forces the integer-shift orthonormality
-  identity sum_k |Phi(f + k/T)|^2 = 1 by construction.  The time-domain
-  waveform is obtained by trapezoidal inverse Fourier quadrature and the
-  scaling filter by two-scale inner products.
+  identity sum_k |Phi(f + k/T)|^2 = 1 by construction.
 
-* Sampling of the scaling/wavelet functions of any shipped orthogonal
-  filter pair through the cascade iteration, plus dyadic compressions of a
-  mother wavelet for multi-pulse shaping.
+* Sampling of the mother wavelet of any shipped orthogonal filter pair
+  through the cascade iteration, plus dyadic compressions of it for the
+  spectral-efficiency table.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .filterbank import WaveletFilterPair
 
 
@@ -154,115 +152,6 @@ def lattice_orthonormality_residual(
     return float(np.max(np.abs(total - 1.0)))
 
 
-def _inverse_ft(params: ModifiedGaussianParams, t: np.ndarray) -> np.ndarray:
-    """Trapezoidal quadrature of the inverse Fourier integral at times t.
-
-    The trapezoid sum equals the true waveform plus Poisson images spaced
-    1/df apart.  The waveform's tails decay only exponentially with a rate
-    that shrinks like 1/(sigma T)^2 (the orthogonalization sharpens the
-    band edges), so the image distance is scaled accordingly.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    T = params.symbol_period
-    f_span = (params.l_max + 1) / T
-    t_reach = float(np.max(np.abs(t))) if t.size else T
-    image_dist = 2.0 * t_reach + T * (40.0 + 200.0 * params.sigma_t**2)
-    n_f = int(np.ceil(2.0 * f_span * image_dist)) + 1
-    f = np.linspace(-f_span, f_span, n_f)
-    df = f[1] - f[0]
-    weights = np.full(n_f, df)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    spectrum = mod_gauss_amplitude(params, f) * weights
-    out = np.empty(len(t), dtype=complex)
-    for start in range(0, len(t), 512):
-        block = t[start:start + 512]
-        out[start:start + 512] = np.exp(
-            2j * np.pi * np.outer(block, f)
-        ) @ spectrum
-    return out
-
-
-def mod_gauss_time(
-    params: ModifiedGaussianParams, n_samples: int, dt: float
-) -> SampledWaveform:
-    """Time-domain scaling function by numerical inverse Fourier transform.
-
-    The grid is symmetric about t = 0 and must span at least
-    [-8 sigma T, +8 sigma T].  The result is scaled by sqrt(T) so that
-    <phi, phi> = 1 under the continuous inner product.
-    """
-    span = n_samples * dt
-    if span < 16.0 * params.sigma_t:
-        raise ConfigError(
-            f"span {span:.3g} shorter than 16 sigma T = "
-            f"{16 * params.sigma_t:.3g}"
-        )
-    t0 = -(n_samples // 2) * dt
-    t = t0 + dt * np.arange(n_samples)
-    samples = _inverse_ft(params, t) * np.sqrt(params.symbol_period)
-    return SampledWaveform(samples=samples, dt=dt, t0=t0)
-
-
-@dataclass
-class ScalingFilter:
-    """Two-scale filter taps h[n] for n in [n_min, n_min + len - 1]."""
-
-    taps: np.ndarray
-    n_min: int
-    truncated: bool
-
-    def sum(self) -> float:
-        return float(np.sum(self.taps))
-
-
-def derive_scaling_filter(
-    phi: SampledWaveform,
-    params: ModifiedGaussianParams,
-    tap_threshold: float = 1e-8,
-) -> ScalingFilter:
-    """Scaling filter from the two-scale relation h[n] = <phi(t/2), phi(t-nT)>/sqrt(2).
-
-    phi must come from :func:`mod_gauss_time` (symmetric grid, dt dividing
-    the symbol period).  Taps are returned over the window where the two
-    supports overlap; `truncated` flags edge taps above tap_threshold.
-
-    Raises NumericalError when sum(h) misses sqrt(2) by more than 1e-4.
-    """
-    T = params.symbol_period
-    shift = T / phi.dt
-    if abs(shift - round(shift)) > 1e-9:
-        raise ConfigError("sample spacing must divide the symbol period")
-    shift = int(round(shift))
-    t = phi.times()
-    phi_half = _inverse_ft(params, t / 2.0) * np.sqrt(T)
-    base = np.real(phi.samples)
-    n_max = (len(base) // 2) // shift
-    taps = []
-    for n in range(-n_max, n_max + 1):
-        offset = n * shift
-        if offset >= 0:
-            prod = phi_half[offset:] * base[: len(base) - offset]
-        else:
-            prod = phi_half[:offset] * base[-offset:]
-        taps.append(np.real(np.sum(prod)) * phi.dt / np.sqrt(2.0))
-    taps = np.asarray(taps)
-    keep = np.abs(taps) > tap_threshold
-    if not np.any(keep):
-        raise NumericalError("all two-scale taps below threshold")
-    first = int(np.argmax(keep))
-    last = len(taps) - 1 - int(np.argmax(keep[::-1]))
-    window = taps[first:last + 1]
-    truncated = bool(first == 0 or last == len(taps) - 1)
-    total = float(np.sum(window))
-    if abs(total - np.sqrt(2.0)) > 1e-4:
-        raise NumericalError(
-            f"sum of derived taps {total:.6f} differs from sqrt(2) by "
-            f"{abs(total - np.sqrt(2)):.2e}"
-        )
-    return ScalingFilter(taps=window, n_min=first - n_max, truncated=truncated)
-
-
 def _main_lobe_edge(mag: np.ndarray, peak: int, step: int) -> int:
     # Walk away from the peak through every non-rise, and through rises
     # whose preceding minimum stays within 6 dB of the peak: flat-topped
@@ -307,32 +196,18 @@ def sidelobe_level(spec: SpectrumSamples) -> float:
     return float(20.0 * np.log10(best / mag[peak]))
 
 
-def _cascade(pair: WaveletFilterPair, first: np.ndarray, iterations: int):
+def mother_wavelet(pair: WaveletFilterPair, iterations: int = 8) -> SampledWaveform:
+    """Sample the mother wavelet on a dyadic grid via cascade iteration."""
+    if iterations < 1:
+        raise ConfigError("iterations must be >= 1")
     x = np.array([1.0])
-    taps = [first] + [pair.h] * (iterations - 1)
-    for f in taps:
+    for f in [pair.g] + [pair.h] * (iterations - 1):
         up = np.zeros(2 * len(x))
         up[::2] = x
         x = np.convolve(up, f)
     x = x * 2.0 ** (iterations / 2.0)
     support = (pair.length - 1) * 2**iterations
-    return x[:max(support, 1)]
-
-
-def scaling_function(pair: WaveletFilterPair, iterations: int = 8) -> SampledWaveform:
-    """Sample the scaling function on a dyadic grid via cascade iteration."""
-    if iterations < 1:
-        raise ConfigError("iterations must be >= 1")
-    dt = 2.0**-iterations
-    return SampledWaveform(samples=_cascade(pair, pair.h, iterations), dt=dt)
-
-
-def mother_wavelet(pair: WaveletFilterPair, iterations: int = 8) -> SampledWaveform:
-    """Sample the mother wavelet on a dyadic grid via cascade iteration."""
-    if iterations < 1:
-        raise ConfigError("iterations must be >= 1")
-    dt = 2.0**-iterations
-    return SampledWaveform(samples=_cascade(pair, pair.g, iterations), dt=dt)
+    return SampledWaveform(samples=x[:max(support, 1)], dt=2.0**-iterations)
 
 
 def raised_cosine_pulse(rolloff: float, dt: float = 1.0 / 64.0,

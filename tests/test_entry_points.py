@@ -192,10 +192,27 @@ def test_spectral_efficiency(bit_rate, bandwidth):
     returns_finite_or_raises(metrics.spectral_efficiency, bit_rate, bandwidth)
 
 
+# grids of up to N + 1 distinct frequencies in ascending order, the
+# moderate and the infinite among them
+ASCENDING = hnp.arrays(np.float64, st.integers(0, N + 1), elements=st.one_of(
+    st.floats(-100, 100), st.floats(allow_nan=False))).map(np.unique)
+
+
 @FUZZ
-@given(freqs=REAL_ARRAYS, power_db=REAL_ARRAYS, resolution_bw=st.one_of(LIMITS, FLOATS),
-       containment=st.one_of(st.floats(0.5, 0.999), FLOATS))
-def test_occupied_bandwidth(freqs, power_db, resolution_bw, containment):
+@given(data=st.data(), case=st.integers(0, 3))
+def test_occupied_bandwidth(data, case):
+    # Drawn arrays are seldom 1-D and ascending, two drawn on their own seldom
+    # share a shape, and a drawn float is seldom a fraction, so each case
+    # draws one more argument valid: case 0 none, case 1 power_db with
+    # freqs' shape, case 2 also an ascending grid, case 3 also a containment
+    # in (0, 1) and a positive resolution_bw, which reaches the width.
+    freqs = data.draw(ASCENDING if case >= 2 else REAL_ARRAYS)
+    power_db = data.draw(REAL_ARRAYS if case == 0 else hnp.arrays(
+        np.float64, freqs.shape, elements=st.one_of(st.floats(-100, 100), st.floats())))
+    resolution_bw = data.draw(st.floats(1e-300, 1e300) if case == 3
+                              else st.one_of(LIMITS, FLOATS))
+    containment = data.draw(st.floats(0.01, 0.999) if case == 3
+                            else st.one_of(st.floats(0.5, 0.999), FLOATS))
     try:
         width = metrics.occupied_bandwidth(
             metrics.PsdEstimate(freqs, power_db, resolution_bw), containment)
@@ -257,10 +274,12 @@ def test_iwpt(coeffs, pair, levels):
         filterbank.SubbandSet(coeffs, filterbank.WPT_FULL, levels), pair))
 
 
-# grid sizes stay small: a grid too large to allocate is not checked and
-# raises numpy's own error
+# small grid sizes, and two past the 2**22-entry bound on grid_size * L:
+# 2**21 + 1 points is just past it for the 2-tap pairs, 2**70 is wider than
+# 64 bits; both must raise before allocating
 @FUZZ
 @given(pair=PAIRS, grid_size=st.one_of(st.integers(-2, 64), FLOATS, st.booleans(),
-                                       st.text(max_size=2)))
+                                       st.text(max_size=2),
+                                       st.sampled_from([2**21 + 1, 2**70])))
 def test_verify_pr(pair, grid_size):
     returns_finite_or_raises(filterbank.verify_pr, pair, grid_size)

@@ -1,5 +1,7 @@
 """Filter bank construction, transforms and perfect-reconstruction checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -606,6 +608,23 @@ class TestVerifyPr:
     def test_grid_size_precondition(self):
         with pytest.raises(ConfigError):
             fb.verify_pr(fb.make_filter("db10"), grid_size=10)
+
+    @pytest.mark.parametrize("name, grid_size", [
+        ("haar", 2**21 + 1), ("db10", 2**22 // 20 + 1), ("haar", 2**70),
+    ])
+    def test_grid_size_bound_rejects_before_allocating(self, name, grid_size):
+        """Past grid_size * L = 2**22 verify_pr raises ConfigError and
+        allocates nothing; just inside the bound it would build two 64 MiB
+        bases."""
+        pair = fb.make_filter(name)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"to 2\*\*22 // L"):
+                fb.verify_pr(pair, grid_size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 HAAR = fb.make_filter("haar")

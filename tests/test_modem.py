@@ -1,24 +1,17 @@
-"""Constellations, multicarrier chains, WSK and dyadic pulse shaping."""
+"""Constellations and the multicarrier / single-carrier chains."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from wavemod import channel as ch
 from wavemod import filterbank as fb
 from wavemod import modem
-from wavemod import waveletdesign as wd
 from wavemod.errors import ConfigError, NumericalError
 
 SQRT2 = np.sqrt(2.0)
 HAAR = fb.make_filter("haar")
-
-
-def qfunc(x):
-    return 0.5 * math.erfc(x / SQRT2)
 
 
 class TestConstellations:
@@ -447,11 +440,6 @@ class TestGridMap:
             weights[0] = 0.0
 
 
-@pytest.fixture(scope="module")
-def mother():
-    return wd.mother_wavelet(HAAR, 5)
-
-
 class TestTransmitRolloff:
     @pytest.mark.parametrize("rolloff", [0.0, 0.2, 0.5])
     def test_shaped_roundtrip_and_energy(self, rolloff):
@@ -499,96 +487,3 @@ class TestTransmitRolloff:
     def test_shaping_needs_excess_band(self):
         with pytest.raises(ConfigError, match="oversampling must cover the excess band"):
             modem.OfdmConfig(64, oversampling=1, tx_rolloff=0.2)
-
-
-class TestWsk:
-    def test_frame_is_signed_pulse_train(self, mother):
-        frame = modem.wsk_modulate([1, 0], mother, symbol_period=1.0)
-        n = len(mother.samples)
-        assert_allclose(frame.samples[:n], mother.samples, atol=1e-12)
-        assert_allclose(frame.samples[n:2 * n], -mother.samples, atol=1e-12)
-
-    def test_noiseless_roundtrip(self, mother):
-        rng = np.random.default_rng(10)
-        bits = rng.integers(0, 2, 10_000)
-        frame = modem.wsk_modulate(bits, mother, 1.0)
-        assert np.array_equal(modem.wsk_demodulate(frame, mother, 1.0), bits)
-
-    def test_period_too_short(self, mother):
-        with pytest.raises(ConfigError, match="shorter than pulse"):
-            modem.wsk_modulate([0, 1], mother, symbol_period=0.5)
-
-    def test_non_unit_energy_rejected(self, mother):
-        bad = wd.SampledWaveform(samples=2.0 * mother.samples, dt=mother.dt)
-        with pytest.raises(ConfigError):
-            modem.wsk_modulate([0, 1], bad, 1.0)
-
-    def test_awgn_ber_matches_bpsk_theory(self, mother):
-        """The antipodal WSK link over AWGN performs as BPSK: BER at
-        Eb/N0 = 4 dB within 3 binomial sigma of Q(sqrt(2*10^0.4))."""
-        rng = np.random.default_rng(11)
-        n_bits = 100_000
-        bits = rng.integers(0, 2, n_bits)
-        frame = modem.wsk_modulate(bits, mother, 1.0)
-        hop = int(round(1.0 / mother.dt))
-        noisy = ch.awgn(frame, ch.AwgnSpec(
-            snr_db=4.0, seed=12, reference=ch.EB_PER_BIT, samples_per_bit=hop,
-        ))
-        measured = np.mean(modem.wsk_demodulate(noisy, mother, 1.0) != bits)
-        expected = qfunc(np.sqrt(2.0 * 10.0 ** 0.4))
-        sigma = np.sqrt(expected * (1 - expected) / n_bits)
-        assert abs(measured - expected) < 3 * sigma
-
-
-class TestDyadicPulseShaping:
-    def test_single_stream_reduces_to_pam(self):
-        psi = wd.mother_wavelet(HAAR, 5)
-        pulses = wd.dyadic_pulse_set(psi, 0)
-        symbols = np.array([1.0, -1.0, 1.0, 1.0])
-        frame = modem.pulse_shape_dyadic([symbols], pulses, 1.0)
-        hop = int(round(1.0 / psi.dt))
-        direct = np.zeros(4 * hop + len(pulses[0].samples), dtype=complex)
-        for k, s in enumerate(symbols):
-            direct[k * hop:k * hop + len(pulses[0].samples)] += (
-                s * pulses[0].samples
-            )
-        assert_allclose(frame.samples, direct[: len(frame.samples)], atol=1e-12)
-
-    def test_two_streams_matched_filter_recovery(self):
-        """Closed-form Haar orthogonality makes recovery exact."""
-        psi = wd.mother_wavelet(HAAR, 6)
-        pulses = wd.dyadic_pulse_set(psi, 1)
-        rng = np.random.default_rng(13)
-        s0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        s1 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        frame = modem.pulse_shape_dyadic([s0, s1], pulses, 1.0)
-        r0, r1 = modem.matched_filter_streams(frame, pulses, 1.0, 8)
-        assert np.max(np.abs(r0 - s0)) < 1e-9
-        assert np.max(np.abs(r1 - s1)) < 1e-9
-
-    def test_three_streams_bit_rate(self):
-        """Streams at natural dyadic rates carry 1 + 2 + 4 symbols per
-        period, the mechanism behind the rising efficiency ladder."""
-        psi = wd.mother_wavelet(HAAR, 6)
-        pulses = wd.dyadic_pulse_set(psi, 2)
-        n_periods = 4
-        streams = [
-            np.ones(n_periods * 2**m, dtype=complex) for m in range(3)
-        ]
-        frame = modem.pulse_shape_dyadic(streams, pulses, 1.0)
-        recovered = modem.matched_filter_streams(frame, pulses, 1.0, n_periods)
-        assert [len(r) for r in recovered] == [4, 8, 16]
-        for got, sent in zip(recovered, streams):
-            assert np.max(np.abs(got - sent)) < 1e-9
-
-    def test_stream_pulse_count_mismatch(self):
-        psi = wd.mother_wavelet(HAAR, 6)
-        pulses = wd.dyadic_pulse_set(psi, 1)
-        with pytest.raises(ConfigError, match="1 streams vs 2 pulses"):
-            modem.pulse_shape_dyadic([np.ones(4)], pulses, 1.0)
-
-    def test_wrong_stream_length(self):
-        psi = wd.mother_wavelet(HAAR, 6)
-        pulses = wd.dyadic_pulse_set(psi, 1)
-        with pytest.raises(ConfigError):
-            modem.pulse_shape_dyadic([np.ones(4), np.ones(4)], pulses, 1.0)
