@@ -2,11 +2,11 @@
 
 All randomness is drawn from explicitly seeded generators, so identical
 (spec, seed) pairs give bit-identical outputs.  apply_multipath, awgn and
-equalize take one frame (n,) or a block of frames (..., n) and act on each
-row alone;
-Monte-Carlo callers give each row its own seed sequence [master, ...,
-trial] (see :class:`AwgnSpec`), so no output depends on how trials are
-grouped into blocks.
+equalize take a complex frame (n,) or block (..., n), as
+modem.ofdm_modulate returns it, and act on each row alone; each checks its
+own input once and never scans its output.  Monte-Carlo callers give each
+row its own seed sequence [master, ..., trial] (see :class:`AwgnSpec`), so
+no output depends on how trials are grouped into blocks.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, numerical_errors
+from .errors import ConfigError, NumericalError, _numbers, _samples, numerical_errors
 from . import metrics, modem
 from .modem import (
     FOURIER,
-    BasebandFrame,
     OfdmConfig,
     _unprecode,
     ofdm_demodulate,
@@ -133,49 +132,56 @@ def _draw_noise(seed, shape, scale) -> np.ndarray:
     return noise
 
 
-def awgn(frame: BasebandFrame, spec: AwgnSpec) -> BasebandFrame:
-    """Add circularly symmetric complex Gaussian noise, seeded.
+def awgn(frame, spec: AwgnSpec) -> np.ndarray:
+    """Add circularly symmetric complex Gaussian noise, seeded, to the
+    complex frame (n,) or block (..., n) and return the noisy copy.
 
     The noise variance of each frame (row) follows that row's own mean
-    power; see :class:`AwgnSpec` for the per-row seed form.  A power or
-    noise sum that overflows raises NumericalError.
+    power; see :class:`AwgnSpec` for the per-row seed form.  NaN or
+    infinite samples raise ConfigError; a power or noise sum that overflows
+    raises NumericalError.
     """
-    samples = np.asarray(frame.samples, dtype=complex)
-    if samples.size == 0:
-        raise ConfigError("cannot add noise to an empty frame")
+    samples = _samples(frame, finite=False)
     with numerical_errors("awgn"):
-        variance = spec.noise_variance(np.mean(np.abs(samples) ** 2, axis=-1))
+        power = np.mean(np.abs(samples) ** 2, axis=-1)
+        if not np.isfinite(power).all():  # overflow raised: a sample is NaN or inf
+            raise ConfigError("frame samples must be finite, not NaN or infinite")
+        variance = spec.noise_variance(power)
         if not np.any(variance):
-            return BasebandFrame(samples.copy(), frame.sample_rate)
+            return samples.copy()
         noisy = _draw_noise(spec.seed, samples.shape, np.sqrt(variance / 2.0))
         noisy += samples
-    return BasebandFrame(noisy, frame.sample_rate)
+    return noisy
 
 
 @dataclass
 class MultipathSpec:
-    """Static tapped-delay-line channel."""
+    """Static tapped-delay-line channel: integer delays from 0 up, finite gains."""
 
     tap_delays: np.ndarray
     tap_gains: np.ndarray
     normalize: bool = True
 
     def __post_init__(self):
-        self.tap_delays = np.asarray(self.tap_delays, dtype=np.int64)
-        self.tap_gains = np.asarray(self.tap_gains, dtype=complex)
-        if len(self.tap_delays) != len(self.tap_gains):
+        delays = _numbers(self.tap_delays, "tap delays")
+        gains = _numbers(self.tap_gains, "tap gains", complex)
+        if delays.ndim != 1 or gains.ndim != 1 or delays.dtype.kind not in "iu":
+            raise ConfigError("tap delays must be 1-D integers (samples), tap gains 1-D")
+        if len(delays) != len(gains):
             raise ConfigError("tap delay and gain counts differ")
-        if len(self.tap_delays) == 0:
-            raise ConfigError("channel needs at least one tap")
-        if self.tap_delays[0] != 0 or np.any(np.diff(self.tap_delays) < 0):
-            raise ConfigError("tap delays must be nondecreasing and start at 0")
-        if not np.all(np.isfinite(self.tap_gains)):
+        # a uint64 delay past the int64 range turns negative here, and fails below
+        delays = delays.astype(np.int64)
+        if len(delays) == 0 or delays[0] != 0 or np.any(np.diff(delays) < 0):
+            raise ConfigError("channel needs at least one tap, delays nondecreasing from 0")
+        if not np.all(np.isfinite(gains)):
             raise ConfigError("tap gains must be finite")
         if self.normalize:
-            power = float(np.sum(np.abs(self.tap_gains) ** 2))
-            if power == 0.0:
-                raise ConfigError("cannot normalize an all-zero tap set")
-            self.tap_gains = self.tap_gains / np.sqrt(power)
+            with np.errstate(over="ignore"):
+                power = float(np.sum(np.abs(gains) ** 2))
+            if not 0.0 < power < math.inf:
+                raise ConfigError("cannot normalize taps of zero or overflowing power")
+            gains = gains / np.sqrt(power)
+        self.tap_delays, self.tap_gains = delays, gains
 
     @property
     def max_delay(self) -> int:
@@ -210,20 +216,23 @@ class MultipathSpec:
 
     @classmethod
     def from_file(cls, path, normalize: bool = True) -> "MultipathSpec":
-        """Load a profile: one `delay_samples gain_re gain_im` line per tap."""
+        """Load a profile: one `delay_samples gain_re gain_im` line per tap;
+        a line that does not parse so raises ConfigError naming path:line."""
         delays, gains = [], []
         with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
+            for number, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                parts = line.split()
-                if len(parts) != 3:
+                try:
+                    delay, gain_re, gain_im = line.split()
+                    delays.append(int(delay))
+                    gains.append(float(gain_re) + 1j * float(gain_im))
+                except ValueError:
                     raise ConfigError(
-                        f"bad channel profile line {raw!r} (want 3 fields)"
-                    )
-                delays.append(int(parts[0]))
-                gains.append(float(parts[1]) + 1j * float(parts[2]))
+                        f"{path}:{number}: bad channel profile line {line!r} "
+                        "(want an integer delay_samples, gain_re and gain_im)"
+                    ) from None
         return cls(tap_delays=delays, tap_gains=gains, normalize=normalize)
 
 
@@ -238,15 +247,16 @@ class MultipathSpec:
 _MULTIPATH_TILE_BYTES = 72 << 10
 
 
-def apply_multipath(frame: BasebandFrame, spec: MultipathSpec) -> BasebandFrame:
-    """Linear convolution with the sparse tap set; output grows by max delay.
+def apply_multipath(frame, spec: MultipathSpec) -> np.ndarray:
+    """Linear convolution of the complex frame (n,) with the sparse tap
+    set; the output (n + max_delay,) grows by the max delay.
 
     A block (..., n) convolves every row with the same taps, a tile of
     rows under ``_MULTIPATH_TILE_BYTES`` at a time; each row gets the bits
-    of a call on that row alone.  An output sample that overflows raises
-    NumericalError.
+    of a call on that row alone.  NaN or infinite samples raise
+    ConfigError, an output sample that overflows NumericalError.
     """
-    x = np.atleast_1d(np.asarray(frame.samples, dtype=complex))
+    x = _samples(frame)
     n = x.shape[-1]
     if spec.max_delay >= n:
         raise ConfigError(
@@ -263,7 +273,7 @@ def apply_multipath(frame: BasebandFrame, spec: MultipathSpec) -> BasebandFrame:
             for delay, gain in zip(spec.tap_delays, spec.tap_gains):
                 np.multiply(gain, x_tile, out=tile_product)
                 out_tile[:, delay:delay + n] += tile_product
-    return BasebandFrame(out, frame.sample_rate)
+    return out
 
 
 def check_cyclic_prefix(channel: MultipathSpec, cfg: OfdmConfig) -> None:
@@ -311,9 +321,9 @@ def _deconvolution_filter(response_bytes: bytes, length: int):
     return numerator, denominator
 
 
-def equalize(frame: BasebandFrame, channel: MultipathSpec,
-             cfg: OfdmConfig) -> np.ndarray:
-    """Perfect-CSI zero-forcing equalization, then demodulation to symbols.
+def equalize(frame, channel: MultipathSpec, cfg: OfdmConfig) -> np.ndarray:
+    """Perfect-CSI zero-forcing equalization of the complex frame (n,) or
+    block (..., n), then demodulation to symbols.
 
     Fourier chain: the cyclic prefix is stripped, one-tap ZF is applied per
     occupied bin of the body DFT, and the result is fed through the inverse
@@ -327,10 +337,11 @@ def equalize(frame: BasebandFrame, channel: MultipathSpec,
 
     A block of frames (..., length) gives a block of symbol rows.  The
     channel's frequency response is computed once per (taps, length) and
-    reused by every later block.  Samples whose spectrum or equalized value
-    overflows raise NumericalError.
+    reused by every later block.  NaN or infinite samples raise
+    ConfigError, samples whose spectrum or equalized value overflows
+    NumericalError.
     """
-    samples = np.atleast_1d(np.asarray(frame.samples, dtype=complex))
+    samples = _samples(frame)
     if samples.shape[-1] < cfg.frame_length:
         raise ConfigError("frame shorter than cyclic prefix plus body")
     response_bytes = channel.impulse_response().tobytes()
@@ -354,4 +365,4 @@ def equalize(frame: BasebandFrame, channel: MultipathSpec,
         spectrum /= denominator
         body = np.fft.ifft(spectrum)[..., :cfg.body_length]
     del spectrum  # freed before the demodulator allocates
-    return ofdm_demodulate(BasebandFrame(body, frame.sample_rate), cfg)
+    return ofdm_demodulate(body, cfg)

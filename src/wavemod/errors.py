@@ -1,6 +1,6 @@
-"""Exception types raised by the library, and the two helpers that turn
-numpy's failures into them (:func:`_numbers` for inputs that are not
-numbers, :func:`numerical_errors` for floating-point failures).
+"""Exception types raised by the library, and the helpers that turn
+numpy's failures into them (:func:`_numbers` and :func:`_samples` for bad
+inputs, :func:`numerical_errors` for floating-point failures).
 
 Every operational error is a WavemodError, so callers can catch the
 library's failures with a single except clause.  There are two kinds: a
@@ -41,6 +41,21 @@ def _numbers(values, what: str, dtype=None) -> np.ndarray:
     if kind == "c" and dtype is not None and np.dtype(dtype).kind != "c":
         raise ConfigError(f"{what} must be real numbers")
     return array if dtype is None else array.astype(dtype, copy=False)
+
+
+def _samples(values, what: str = "frame samples", finite: bool = True) -> np.ndarray:
+    """values as the complex (n,) frame or (..., n) block a chain stage
+    reads, n >= 1; ConfigError when they are not such numbers or, unless
+    finite is False, when one is NaN or infinite."""
+    array = _numbers(values, what, complex)
+    if array.ndim == 0 or array.shape[-1] == 0:
+        raise ConfigError(f"{what} need at least one axis and one sample a row")
+    if finite:
+        # the float view scans twice as fast; it needs a contiguous last axis
+        parts = array.view(float) if array.strides[-1] == array.itemsize else array
+        if not np.isfinite(parts).all():
+            raise ConfigError(f"{what} must be finite, not NaN or infinite")
+    return array
 
 
 @contextlib.contextmanager

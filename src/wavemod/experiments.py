@@ -170,9 +170,7 @@ def run_evm_bandwidth_sweep(cfg: ExperimentConfig) -> ResultTable:
     for block in payloads.blocks(len(cutoffs) * ft.frame_length):
         symbols = block.symbols(spec, n * spec.bits_per_symbol)
         for column, chain in enumerate((ft, wt)):
-            frame = modem.ofdm_modulate(symbols, chain)
-            frame = modem.BasebandFrame(_brickwall(frame.samples, cutoffs),
-                                        frame.sample_rate)
+            frame = _brickwall(modem.ofdm_modulate(symbols, chain), cutoffs)
             estimates = modem.ofdm_demodulate(frame, chain)
             del frame
             scores = metrics.evm(estimates, np.broadcast_to(symbols[:, None, :],

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _numbers, numerical_errors
+from .errors import ConfigError, NumericalError, _numbers, _samples, numerical_errors
 from .modem import (
-    BasebandFrame,
     ConstellationSpec,
     OfdmConfig,
     _transmit_body,
@@ -30,12 +29,13 @@ from .modem import (
 )
 
 
-def papr_db(frame: BasebandFrame):
-    """Peak-to-average power ratio of the frame, in dB.
+def papr_db(frame):
+    """Peak-to-average power ratio of the complex frame, in dB.
 
-    A float for one frame; for a block (..., n) an array of one PAPR per row.
+    A float for one frame (n,); for a block (..., n) an array of one PAPR
+    per row.  NaN or infinite samples raise ConfigError.
     """
-    x = np.asarray(frame.samples)
+    x = _samples(frame)
     with numerical_errors("papr_db"):
         power = x.real**2
         power += x.imag**2

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, _numbers, numerical_errors
+from .errors import ConfigError, _numbers, _samples, numerical_errors
 from .filterbank import (
     DWT_PRUNED,
     WPT_FULL,
@@ -244,25 +244,6 @@ class OfdmConfig:
     @property
     def frame_length(self) -> int:
         return self.body_length + self.cp_length
-
-
-@dataclass
-class BasebandFrame:
-    """Complex baseband samples with their sample rate.
-
-    samples is (n,) for one frame or (..., n) for a block of frames of
-    equal length; every chain function acts on the last axis.
-    """
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        self.samples = _numbers(self.samples, "frame samples", complex)
-        if self.samples.ndim == 0:
-            raise ConfigError("frame samples need at least one axis")
-        if not np.all(np.isfinite(self.samples.view(float))):
-            raise ConfigError("frame contains non-finite samples")
 
 
 # --- oversampling helpers -------------------------------------------------------
@@ -491,50 +472,46 @@ def _transmit_body(symbols: np.ndarray, cfg: OfdmConfig):
     return np.fft.ifft(_upsample(spec, weights), norm="ortho"), None
 
 
-def ofdm_modulate(symbols, cfg: OfdmConfig) -> BasebandFrame:
+def ofdm_modulate(symbols, cfg: OfdmConfig) -> np.ndarray:
     """One multicarrier symbol: precode, inverse transform, oversample, CP.
 
-    symbols is (n_subcarriers,) for one frame or (..., n_subcarriers) for a
-    block of frames; each row gives the same samples as it would alone.
-    The cyclic prefix (Fourier chain only) is a copy of the frame tail, so
-    the CP-stripped body carries exactly the input symbol energy; the FIR
-    interpolator of a wavelet-packet chain is rescaled, row by row, to the
-    chips' energy.  A wavelet-packet precoder cancels against the packet
-    synthesis when the chain's pair is orthogonal, so with a shipped pair
-    (taps equal to make_filter's for its family) the chain skips both and
-    oversamples the symbols directly (equal to the composed chain within
-    round-off).  Any other pair, e.g. a perturbed one, runs both transforms.
+    symbols (n_subcarriers,) give the complex frame (frame_length,), a
+    block (..., n_subcarriers) a block (..., frame_length) whose rows are
+    the frames they would give alone; NaN or infinite symbols raise
+    ConfigError.  The cyclic prefix (Fourier chain only) is a copy of the
+    frame tail, so the CP-stripped body carries exactly the input symbol
+    energy; the FIR interpolator of a wavelet-packet chain is rescaled, row
+    by row, to the chips' energy.  A wavelet-packet precoder cancels against
+    the packet synthesis when the chain's pair is orthogonal, so with a
+    shipped pair (taps equal to make_filter's for its family) the chain
+    skips both and oversamples the symbols directly (equal to the composed
+    chain within round-off).  Any other pair, e.g. a perturbed one, runs
+    both transforms.
     """
-    symbols = _numbers(symbols, "symbols", complex)
-    count = symbols.shape[-1] if symbols.ndim else 1
-    if symbols.ndim == 0 or count != cfg.n_subcarriers:
-        raise ConfigError(
-            f"expected {cfg.n_subcarriers} symbols, got {count}"
-        )
+    symbols = _samples(symbols, "symbols")
+    if symbols.shape[-1] != cfg.n_subcarriers:
+        raise ConfigError(f"expected {cfg.n_subcarriers} symbols, got {symbols.shape[-1]}")
     with numerical_errors("ofdm_modulate"):
         body, target = _transmit_body(symbols, cfg)
         if target is not None:
             _rescale(body, target)
     cp = cfg.cp_length
-    if cp:
-        samples = np.empty(body.shape[:-1] + (cp + body.shape[-1],),
-                           dtype=complex)
-        samples[..., cp:] = body
-        samples[..., :cp] = body[..., -cp:]
-        body = samples
-    return BasebandFrame(samples=body, sample_rate=float(cfg.body_length))
+    if not cp:
+        return body
+    frame = np.empty(body.shape[:-1] + (cp + body.shape[-1],), dtype=complex)
+    frame[..., cp:] = body
+    frame[..., :cp] = body[..., -cp:]
+    return frame
 
 
-def ofdm_demodulate(frame: BasebandFrame, cfg: OfdmConfig) -> np.ndarray:
-    """Exact inverse of :func:`ofdm_modulate` in the absence of a channel
-    (a block of frames gives a block of symbol rows).  Samples whose
-    transform overflows raise NumericalError."""
-    samples = np.asarray(frame.samples, dtype=complex)
-    if samples.ndim == 0 or samples.shape[-1] < cfg.frame_length:
-        raise ConfigError(
-            f"frame has {samples.shape[-1] if samples.ndim else 1} samples, "
-            f"config needs {cfg.frame_length}"
-        )
+def ofdm_demodulate(frame, cfg: OfdmConfig) -> np.ndarray:
+    """Exact inverse of :func:`ofdm_modulate` without a channel: a complex
+    frame (n,) or block (..., n), n >= frame_length, gives its symbol rows.
+    NaN or infinite samples raise ConfigError, an overflow NumericalError."""
+    samples = _samples(frame)
+    if samples.shape[-1] < cfg.frame_length:
+        raise ConfigError(f"frame has {samples.shape[-1]} samples, "
+                          f"config needs {cfg.frame_length}")
     body = samples[..., cfg.cp_length:cfg.cp_length + cfg.body_length]
     with numerical_errors("ofdm_demodulate"):
         if _precoder_cancels(cfg):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,22 +16,18 @@ from wavemod.errors import ConfigError, NumericalError
 HAAR = fb.make_filter("haar")
 
 
-def frame_of(samples, rate=1.0):
-    return modem.BasebandFrame(np.asarray(samples, dtype=complex), rate)
-
-
 class TestAwgn:
     def test_infinite_snr_is_identity(self):
-        frame = frame_of(np.arange(16))
+        frame = np.arange(16)
         out = ch.awgn(frame, ch.AwgnSpec(snr_db=math.inf, seed=1))
-        assert np.array_equal(out.samples, frame.samples)
+        assert np.array_equal(out, frame)
 
     def test_variance_calibration(self):
         """Sample-statistics oracle at Es/N0 = 10 dB on a unit-power frame."""
         n = 1_000_000
-        frame = frame_of(np.ones(n))
+        frame = np.ones(n)
         out = ch.awgn(frame, ch.AwgnSpec(snr_db=10.0, seed=2))
-        noise = out.samples - frame.samples
+        noise = out - frame
         assert abs(np.mean(np.abs(noise) ** 2) - 0.1) < 0.001
         # mean within 3 sigma/sqrt(n) of zero per rail
         rail_sigma = np.sqrt(0.05 / n)
@@ -38,22 +35,22 @@ class TestAwgn:
         assert abs(np.mean(noise.imag)) < 3 * rail_sigma
 
     def test_seed_determinism(self):
-        frame = frame_of(np.ones(256))
+        frame = np.ones(256)
         spec = ch.AwgnSpec(snr_db=3.0, seed=77)
-        a = ch.awgn(frame, spec).samples
-        b = ch.awgn(frame, spec).samples
+        a = ch.awgn(frame, spec)
+        b = ch.awgn(frame, spec)
         assert np.array_equal(a, b)
-        c = ch.awgn(frame, ch.AwgnSpec(snr_db=3.0, seed=78)).samples
+        c = ch.awgn(frame, ch.AwgnSpec(snr_db=3.0, seed=78))
         assert not np.array_equal(a, c)
 
     def test_eb_per_bit_reference(self):
         """Eb/N0 mode scales the variance by samples-per-bit."""
         n = 200_000
-        frame = frame_of(np.ones(n))
+        frame = np.ones(n)
         out = ch.awgn(frame, ch.AwgnSpec(
             snr_db=0.0, seed=3, reference=ch.EB_PER_BIT, samples_per_bit=4.0,
         ))
-        measured = np.mean(np.abs(out.samples - frame.samples) ** 2)
+        measured = np.mean(np.abs(out - frame) ** 2)
         assert abs(measured - 4.0) < 0.05
         with pytest.raises(ConfigError):  # NaN fails `<= 0` but not `> 0`
             ch.AwgnSpec(snr_db=0.0, reference=ch.EB_PER_BIT,
@@ -63,12 +60,12 @@ class TestAwgn:
         """A row with 10x the power of another gets 10x the noise variance,
         not a share of the block-wide mean."""
         x = np.exp(2j * np.pi * np.arange(4096) / 7.0)
-        block = frame_of(np.stack([x, np.sqrt(10.0) * x]))
+        block = np.stack([x, np.sqrt(10.0) * x])
         # both rows draw the same unit noise, seed [21, 0], so only the
         # scaling differs
         seeds = metrics.TrialSeeds.grid([21], (1,))[[0, 0]]
         out = ch.awgn(block, ch.AwgnSpec(snr_db=5.0, seed=seeds))
-        noise = out.samples - block.samples
+        noise = out - block
         assert_allclose(np.abs(noise[1]) ** 2, 10.0 * np.abs(noise[0]) ** 2,
                         rtol=1e-9)
         assert abs(np.mean(np.abs(noise[0]) ** 2) - 10 ** -0.5) < 0.02
@@ -77,7 +74,7 @@ class TestAwgn:
         assert_allclose(noise[0], np.sqrt(10 ** -0.5 / 2) * unit, rtol=1e-12)
 
     def test_per_row_seeds_must_match_the_rows(self):
-        block = frame_of(np.ones((3, 64)))
+        block = np.ones((3, 64))
         with pytest.raises(ConfigError, match="per-row seeds"):
             ch.awgn(block, ch.AwgnSpec(snr_db=5.0, seed=metrics.TrialSeeds.grid([1], (2,))))
 
@@ -90,14 +87,14 @@ class TestAwgn:
             ch.AwgnSpec(snr_db=10.0, seed=seed)
 
     def test_empty_frame_rejected(self):
-        with pytest.raises(ConfigError, match="cannot add noise to an empty frame"):
-            ch.awgn(frame_of([]), ch.AwgnSpec(snr_db=10.0))
+        with pytest.raises(ConfigError, match="at least one axis and one sample"):
+            ch.awgn([], ch.AwgnSpec(snr_db=10.0))
 
     @pytest.mark.parametrize("samples, snr_db", [([1.7e308], 10.0), ([1e150], -100.0)])
     def test_overflowing_power_or_noise_raises(self, samples, snr_db):
         """A finite frame whose power, or noise, leaves the float range."""
         with pytest.raises(NumericalError):
-            ch.awgn(frame_of(samples), ch.AwgnSpec(snr_db=snr_db))
+            ch.awgn(samples, ch.AwgnSpec(snr_db=snr_db))
 
     def test_bad_reference(self):
         with pytest.raises(ConfigError):
@@ -149,15 +146,15 @@ class TestAwgn:
         """A TrialSeeds sub-grid is a valid AwgnSpec seed: each row gets the
         bytes of awgn on that frame alone with its own seed sequence, and
         of its own generator; the grid must match the block's rows."""
-        block = frame_of(np.ones((3, 64)))
+        block = np.ones((3, 64))
         grid = metrics.TrialSeeds.grid([5, 2], (4, 6), [1])
         spec = ch.AwgnSpec(snr_db=3.0, seed=grid[1, 2:5])
-        got = ch.awgn(block, spec).samples
+        got = ch.awgn(block, spec)
         scale = np.sqrt(spec.noise_variance(1.0) / 2.0)
         for row, trial in enumerate(range(2, 5)):
             seed = [5, 2, 1, trial, 1]
-            alone = ch.awgn(frame_of(np.ones(64)),
-                            dataclasses.replace(spec, seed=seed)).samples
+            alone = ch.awgn(np.ones(64),
+                            dataclasses.replace(spec, seed=seed))
             rng = np.random.default_rng(seed)
             want = 1.0 + scale * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
             assert got[row].tobytes() == alone.tobytes() == want.tobytes()
@@ -168,22 +165,22 @@ class TestAwgn:
 class TestMultipath:
     def test_single_unit_tap_is_identity(self):
         spec = ch.MultipathSpec(tap_delays=[0], tap_gains=[1.0], normalize=False)
-        frame = frame_of(np.arange(8))
-        assert_allclose(ch.apply_multipath(frame, spec).samples, frame.samples)
+        frame = np.arange(8)
+        assert_allclose(ch.apply_multipath(frame, spec), frame)
 
     def test_impulse_reproduces_response(self):
         spec = ch.MultipathSpec.ten_path(seed=5)
         impulse = np.zeros(16, dtype=complex)
         impulse[0] = 1.0
-        out = ch.apply_multipath(frame_of(impulse), spec)
-        assert_allclose(out.samples[:10], spec.impulse_response(), atol=1e-15)
+        out = ch.apply_multipath(impulse, spec)
+        assert_allclose(out[:10], spec.impulse_response(), atol=1e-15)
 
     def test_matches_dense_convolution_oracle(self):
         """O(n L) direct convolution over the dense impulse response."""
         spec = ch.MultipathSpec.ten_path(seed=6)
         rng = np.random.default_rng(6)
         x = rng.standard_normal(400) + 1j * rng.standard_normal(400)
-        mine = ch.apply_multipath(frame_of(x), spec).samples
+        mine = ch.apply_multipath(x, spec)
         oracle = np.convolve(x, spec.impulse_response())
         assert np.max(np.abs(mine - oracle)) < 1e-12
 
@@ -192,10 +189,10 @@ class TestMultipath:
         rng = np.random.default_rng(7)
         x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         y = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        combined = ch.apply_multipath(frame_of(2.0 * x + 3j * y), spec).samples
+        combined = ch.apply_multipath(2.0 * x + 3j * y, spec)
         parts = (
-            2.0 * ch.apply_multipath(frame_of(x), spec).samples
-            + 3j * ch.apply_multipath(frame_of(y), spec).samples
+            2.0 * ch.apply_multipath(x, spec)
+            + 3j * ch.apply_multipath(y, spec)
         )
         assert np.max(np.abs(combined - parts)) < 1e-12
 
@@ -208,7 +205,7 @@ class TestMultipath:
         want = np.zeros((3, 96 + spec.max_delay), dtype=complex)
         for delay, gain in zip(spec.tap_delays, spec.tap_gains):
             want[..., delay:delay + 96] += gain * x
-        assert_array_equal(ch.apply_multipath(frame_of(x), spec).samples, want)
+        assert_array_equal(ch.apply_multipath(x, spec), want)
 
     @pytest.mark.parametrize("spec", [
         ch.MultipathSpec.ten_path(seed=11),
@@ -221,26 +218,26 @@ class TestMultipath:
         n = 2304
         rng = np.random.default_rng(rows)
         x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-        got = ch.apply_multipath(frame_of(x), spec).samples
-        want = np.stack([ch.apply_multipath(frame_of(row), spec).samples for row in x])
+        got = ch.apply_multipath(x, spec)
+        want = np.stack([ch.apply_multipath(row, spec) for row in x])
         assert got.tobytes() == want.tobytes()
 
     def test_output_length(self):
         spec = ch.MultipathSpec.ten_path(seed=8)
-        out = ch.apply_multipath(frame_of(np.ones(64)), spec)
-        assert len(out.samples) == 64 + spec.max_delay
+        out = ch.apply_multipath(np.ones(64), spec)
+        assert len(out) == 64 + spec.max_delay
 
     def test_overflowing_output_raises(self):
         """Finite samples whose tap sum leaves the float range: a numerical
         failure (exit 3), not a frame of non-finite samples (exit 2)."""
         spec = ch.MultipathSpec([0, 1], [1.0, 1.0], normalize=False)
         with pytest.raises(NumericalError, match="apply_multipath: overflow"):
-            ch.apply_multipath(frame_of(np.full(16, 1.7e308)), spec)
+            ch.apply_multipath(np.full(16, 1.7e308), spec)
 
     def test_delay_exceeds_frame(self):
         spec = ch.MultipathSpec.ten_path(seed=9)
         with pytest.raises(ConfigError, match="max delay 9 >= frame length 5"):
-            ch.apply_multipath(frame_of(np.ones(5)), spec)
+            ch.apply_multipath(np.ones(5), spec)
 
     def test_default_profile_unit_power_and_decay(self):
         spec = ch.MultipathSpec.ten_path()
@@ -298,6 +295,32 @@ class TestMultipath:
         path.write_text("0 1.0\n")
         with pytest.raises(ConfigError):
             ch.MultipathSpec.from_file(path)
+
+    @pytest.mark.parametrize("line", ["0 abc 0", "1.5 1 0", "1 1", "1 1 0 0", "x"])
+    def test_profile_file_bad_line_names_path_and_line(self, tmp_path, line):
+        """A delay or gain that does not parse, or a line without three
+        fields, is a config error at path:line, not numpy's or Python's."""
+        path = tmp_path / "taps.txt"
+        path.write_text(f"# delay re im\n0 1 0\n{line}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:3: ")):
+            ch.MultipathSpec.from_file(path)
+
+    @pytest.mark.parametrize("delays, gains", [
+        ([0, 1.5], [1.0, 1.0]),  # a fractional delay, which was truncated
+        ([0.0, 1.0], [1.0, 1.0]),  # whole numbers, but not integers
+        ([False, True], [1.0, 1.0]),
+        ([0, 2**70], [1.0, 1.0]),  # wider than 64 bits
+        ([0, 2**63], [1.0, 1.0]),  # past int64, which numpy reads as floats
+        (np.array([0, 2**63], dtype=np.uint64), [1.0, 1.0]),
+        ([[0, 1]], [[1.0, 0.5]]),  # 2-D
+        ([0, 1], [[1.0, 0.5]]),
+        (["0", "1"], [1.0, 1.0]),
+        ([0, 1], ["a", "b"]),
+        ([0, 1], [1e300, 1e300]),  # a total power that leaves the float range
+    ])
+    def test_taps_must_be_1d_integer_delays_and_numbers(self, delays, gains):
+        with pytest.raises(ConfigError):
+            ch.MultipathSpec(delays, gains)
 
 
 class TestEqualize:
@@ -368,14 +391,14 @@ class TestEqualize:
     ], ids=["fourier", "wavelet-packet"])
     def test_overflowing_frame_raises(self, cfg):
         """A finite frame whose spectrum leaves the float range."""
-        frame = frame_of(np.full(cfg.frame_length, 1e308))
+        frame = np.full(cfg.frame_length, 1e308)
         with pytest.raises(NumericalError, match="equalize: overflow"):
             ch.equalize(frame, ch.MultipathSpec.identity(), cfg)
 
     def test_short_frame_rejected(self):
         cfg = modem.OfdmConfig(128, oversampling=1, cp_fraction=1 / 8)
         with pytest.raises(ConfigError, match="frame shorter than cyclic prefix"):
-            ch.equalize(frame_of(np.ones(64)), ch.MultipathSpec.identity(), cfg)
+            ch.equalize(np.ones(64), ch.MultipathSpec.identity(), cfg)
 
     def test_cyclic_prefix_must_cover_channel(self):
         spec = ch.MultipathSpec(tap_delays=[0, 5], tap_gains=[1.0, 0.3])
@@ -415,7 +438,7 @@ def test_block_equals_row_by_row_bit_for_bit(cfg):
             samples_per_bit=cfg.oversampling / qpsk.bits_per_symbol,
         ))
         estimate = ch.equalize(noisy, profile, cfg)
-        return (frame.samples, metrics.papr_db(frame), noisy.samples,
+        return (frame, metrics.papr_db(frame), noisy,
                 estimate, modem.demap_symbols(estimate, qpsk))
 
     block = link(bits, seeds)
@@ -445,17 +468,83 @@ def test_chain_stages_leave_their_inputs_unchanged(cfg):
         assert_array_equal(array, before)
         return out
 
-    def framed(fn):
-        return lambda samples, *args: fn(
-            modem.BasebandFrame(samples, float(cfg.body_length)), *args
-        )
-
-    sent = unchanged(modem.ofdm_modulate, frozen(symbols), cfg).samples
-    unchanged(framed(modem.ofdm_demodulate), frozen(sent), cfg)
-    faded = unchanged(framed(ch.apply_multipath), frozen(sent), profile).samples
+    sent = unchanged(modem.ofdm_modulate, frozen(symbols), cfg)
+    unchanged(modem.ofdm_demodulate, frozen(sent), cfg)
+    faded = unchanged(ch.apply_multipath, frozen(sent), profile)
     spec = ch.AwgnSpec(snr_db=6.0, seed=metrics.TrialSeeds.grid([17], (3,)))
-    noisy = unchanged(framed(ch.awgn), frozen(faded), spec).samples
-    unchanged(framed(ch.equalize), frozen(noisy), profile, cfg)
+    noisy = unchanged(ch.awgn, frozen(faded), spec)
+    unchanged(ch.equalize, frozen(noisy), profile, cfg)
+
+
+# one chain of each transform, and a two-tap echo the Fourier prefix covers
+NON_FINITE_CHAINS = [
+    modem.OfdmConfig(8, oversampling=2, cp_fraction=0.25),
+    modem.OfdmConfig(8, modem.WAVELET_PACKET, HAAR, 3, oversampling=2),
+]
+ECHO = ch.MultipathSpec([0, 1], [1.0, 0.5j])
+CHAIN_STAGES = {
+    "ofdm_modulate": modem.ofdm_modulate,
+    "ofdm_demodulate": modem.ofdm_demodulate,
+    "apply_multipath": lambda frame, cfg: ch.apply_multipath(frame, ECHO),
+    "awgn": lambda frame, cfg: ch.awgn(frame, ch.AwgnSpec(snr_db=10.0, seed=1)),
+    "equalize": lambda frame, cfg: ch.equalize(frame, ECHO, cfg),
+    "papr_db": lambda frame, cfg: metrics.papr_db(frame),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(CHAIN_STAGES))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)],
+                         ids=["nan", "inf", "imag-inf"])
+@pytest.mark.parametrize("rows", [(), (3,)], ids=["frame", "block"])
+@pytest.mark.parametrize("cfg", NON_FINITE_CHAINS, ids=["fourier", "wavelet-packet"])
+def test_non_finite_input_is_a_config_error(cfg, rows, bad, stage):
+    """Each chain stage rejects a NaN or infinite input sample (a symbol
+    for ofdm_modulate) as bad input, exit 2, on both transforms."""
+    symbols = np.broadcast_to(np.exp(2j * np.pi * np.arange(8) / 5), rows + (8,))
+    values = np.array(symbols if stage == "ofdm_modulate"
+                      else modem.ofdm_modulate(symbols, cfg))
+    values[(1,) * values.ndim] = bad
+    with pytest.raises(ConfigError, match="must be finite"):
+        CHAIN_STAGES[stage](values, cfg)
+
+
+def test_each_stage_reads_its_own_input_once(monkeypatch):
+    """One ber-fading block per system: the sample reader runs once in each
+    public stage, on the array that stage was given (never on one it made),
+    and awgn tests the power it computes instead of scanning the samples.
+    A wavelet chain's equalize hands its deconvolved body to the public
+    ofdm_demodulate, which reads it once more."""
+    open_stages, reads = [], []
+
+    def counted(reader):
+        def read(values, *args, **kwargs):
+            name, given = open_stages[-1]
+            reads.append((name, values is given, kwargs.get("finite", True)))
+            return reader(values, *args, **kwargs)
+        return read
+
+    def stage(name, fn):
+        def run(values, *args):
+            open_stages.append((name, values))
+            try:
+                return fn(values, *args)
+            finally:
+                open_stages.pop()
+        return run
+
+    for module in (modem, ch, metrics):
+        monkeypatch.setattr(module, "_samples", counted(module._samples))
+    for module, name in [(modem, "ofdm_modulate"), (modem, "ofdm_demodulate"),
+                         (ch, "ofdm_demodulate"), (ch, "apply_multipath"),
+                         (ch, "awgn"), (ch, "equalize")]:
+        monkeypatch.setattr(module, name, stage(name, getattr(module, name)))
+    experiments.run_ber_fading(dataclasses.replace(
+        configio.ExperimentConfig(), experiment="ber-fading", n_trials=2,
+        ber_ebn0_db="10"))
+    block = [("ofdm_modulate", True, True), ("apply_multipath", True, True),
+             ("awgn", True, False), ("equalize", True, True)]
+    wavelet = block + [("ofdm_demodulate", True, True)]
+    assert reads == [*wavelet, *block, *wavelet, *block]  # wpm, ofdm, sc_wpm, sc_ofdm
 
 
 @pytest.mark.parametrize("rolloff", [None, 0.0, 0.35])
@@ -483,7 +572,7 @@ def test_channel_response_is_computed_once_per_taps_and_length(name):
         key = (response, cfg.body_length, cfg.n_subcarriers, None)
     else:
         cache = ch._deconvolution_filter
-        key = (response, frame.samples.shape[-1])
+        key = (response, frame.shape[-1])
     cache.cache_clear()
     for _ in range(3):
         ch.equalize(frame, profile, cfg)

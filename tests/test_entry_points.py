@@ -3,6 +3,8 @@ finite values or raises a WavemodError (never another exception, and never a
 numpy warning, which the suite turns into an error)."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -85,10 +87,10 @@ FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 def _values(result):
-    if isinstance(result, modem.BasebandFrame):
-        return result.samples
     if isinstance(result, metrics.CcdfCurve):
         return result.probabilities
+    if isinstance(result, channel.MultipathSpec):
+        return result.tap_gains
     if isinstance(result, filterbank.SubbandSet):
         return result.coeffs
     if isinstance(result, filterbank.WaveletFilterPair):
@@ -107,7 +109,7 @@ def returns_finite_or_raises(call, *args):
 @FUZZ
 @given(samples=ARRAYS)
 def test_papr_db(samples):
-    returns_finite_or_raises(lambda: metrics.papr_db(modem.BasebandFrame(samples, 1.0)))
+    returns_finite_or_raises(metrics.papr_db, samples)
 
 
 @FUZZ
@@ -131,22 +133,19 @@ def test_ofdm_modulate(symbols, cfg):
 @FUZZ
 @given(samples=ARRAYS, cfg=st.sampled_from(CONFIGS))
 def test_ofdm_demodulate(samples, cfg):
-    returns_finite_or_raises(
-        lambda: modem.ofdm_demodulate(modem.BasebandFrame(samples, 1.0), cfg))
+    returns_finite_or_raises(modem.ofdm_demodulate, samples, cfg)
 
 
 @FUZZ
 @given(samples=ARRAYS, profile=PROFILES)
 def test_apply_multipath(samples, profile):
-    returns_finite_or_raises(
-        lambda: channel.apply_multipath(modem.BasebandFrame(samples, 1.0), profile))
+    returns_finite_or_raises(channel.apply_multipath, samples, profile)
 
 
 @FUZZ
 @given(samples=ARRAYS, profile=PROFILES, cfg=st.sampled_from(CONFIGS))
 def test_equalize(samples, profile, cfg):
-    returns_finite_or_raises(
-        lambda: channel.equalize(modem.BasebandFrame(samples, 1.0), profile, cfg))
+    returns_finite_or_raises(channel.equalize, samples, profile, cfg)
 
 
 @FUZZ
@@ -163,20 +162,65 @@ def test_papr_ccdf(cfg, spec, n_symbols, thresholds, seed):
        samples_per_bit=st.one_of(st.floats(0.1, 10), FLOATS))
 def test_awgn(samples, snr_db, seed, reference, samples_per_bit):
     returns_finite_or_raises(lambda: channel.awgn(
-        modem.BasebandFrame(samples, 1.0),
-        channel.AwgnSpec(snr_db, seed, reference, samples_per_bit),
-    ))
+        samples, channel.AwgnSpec(snr_db, seed, reference, samples_per_bit)))
 
 
 @FUZZ
 @given(seed=SEEDS, n_taps=st.one_of(st.integers(-2, 64), FLOATS, st.booleans()),
        decay_db=FLOATS)
 def test_ten_path(seed, n_taps, decay_db):
-    try:
-        profile = channel.MultipathSpec.ten_path(seed, n_taps, decay_db)
-    except WavemodError:
-        return
-    assert np.all(np.isfinite(profile.tap_gains))
+    returns_finite_or_raises(channel.MultipathSpec.ten_path, seed, n_taps, decay_db)
+
+
+# delays that rise from 0, small or past 64 bits
+RISING_DELAYS = st.one_of(*[st.lists(taps, max_size=3).map(lambda rest: [0, *sorted(rest)])
+                            for taps in (st.integers(0, 3), st.integers(0, 2**70))])
+# moderate gains, and gains near the float limit, whose total power overflows
+GAINS = st.one_of(st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)),
+                  st.builds(complex, LIMITS, LIMITS))
+
+
+@FUZZ
+@given(data=st.data(), case=st.integers(0, 2), normalize=st.booleans())
+def test_multipath_spec(data, case, normalize):
+    # Drawn arrays seldom hold rising integer delays and seldom share a
+    # length, so each case draws one more argument valid: case 0 none (lists
+    # of small integers and floats among the arrays), case 1 rising delays,
+    # case 2 also one complex gain a delay.
+    delays = data.draw(RISING_DELAYS if case else st.one_of(
+        st.lists(st.one_of(st.integers(-2, 3), st.floats(0, 3)), max_size=3), ARRAYS))
+    gains = data.draw(hnp.arrays(np.complex128, len(delays), elements=GAINS)
+                      if case == 2 else ARRAYS)
+    returns_finite_or_raises(channel.MultipathSpec, delays, gains, normalize)
+
+
+def _profile_lines(taps):
+    """`delay gain_re gain_im` lines with the delays sorted up from 0."""
+    delays = [0, *sorted(delay for delay, _, _ in taps[1:])]
+    return [f"{delay} {re!r} {im!r}" for delay, (_, re, im) in zip(delays, taps)]
+
+
+PROFILES_TEXT = st.lists(st.tuples(st.one_of(st.integers(0, 3), st.integers(0, 2**70)),
+                                   LIMITS, st.one_of(LIMITS, FLOATS)),
+                         min_size=1, max_size=4).map(_profile_lines)
+# a line of integer, float and text fields, or of any text
+BAD_LINES = st.one_of(
+    st.lists(st.one_of(st.integers(-2, 2**70).map(str), FLOATS.map(repr),
+                       st.text(max_size=3)), max_size=4).map(" ".join),
+    st.text(max_size=8),
+)
+
+
+@FUZZ
+@given(data=st.data(), lines=PROFILES_TEXT, normalize=st.booleans())
+def test_multipath_from_file(data, lines, normalize):
+    if data.draw(st.booleans()):  # one line replaced by another
+        lines[data.draw(st.integers(0, len(lines) - 1))] = data.draw(BAD_LINES)
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "taps.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines))
+        returns_finite_or_raises(channel.MultipathSpec.from_file, path, normalize)
 
 
 @FUZZ

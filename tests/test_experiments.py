@@ -422,6 +422,17 @@ class TestCli:
         key = line.split(" = ")[0]
         assert capsys.readouterr().err.startswith(f"wavemod: config error: {key}: ")
 
+    @pytest.mark.parametrize("line", ["0 abc 0", "1.5 1 0"])
+    def test_malformed_channel_profile_is_one_line_exit_2(self, tmp_path, capsys, line):
+        profile = tmp_path / "bad.profile"
+        profile.write_text(f"0 1 0\n{line}\n")
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"channel.profile = {profile}\n")
+        assert cli.main(["ber-fading", "--trials", "2", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"wavemod: config error: {profile}:2: ")
+        assert err.count("\n") == 1
+
     def test_short_cyclic_prefix_fails_before_any_trial(self, tmp_path,
                                                          monkeypatch, capsys):
         """The Fourier chains' CP is checked against the channel before the

@@ -21,9 +21,8 @@ PUBLIC = [
     "list_families", "make_filter", "synthesis_step", "verify_pr", "wpt",
     "CcdfCurve", "PsdEstimate", "evm", "occupied_bandwidth", "papr_ccdf",
     "papr_db", "spectral_efficiency",
-    "BasebandFrame", "ConstellationSpec", "OfdmConfig", "constellation",
-    "demap_symbols", "map_bits", "ofdm_demodulate", "ofdm_modulate",
-    "rrc_bin_weights",
+    "ConstellationSpec", "OfdmConfig", "constellation", "demap_symbols",
+    "map_bits", "ofdm_demodulate", "ofdm_modulate", "rrc_bin_weights",
     "ModifiedGaussianParams", "SampledWaveform", "SpectrumSamples",
     "dyadic_pulse_set", "lattice_orthonormality_residual",
     "mod_gauss_amplitude", "mod_gauss_spectrum", "mother_wavelet",
